@@ -24,6 +24,8 @@
 //! * **Advisory** — absolute throughput (gates/sec, routes/sec,
 //!   moves/sec, circuits/sec). These regress whenever a shared runner
 //!   is slow, so drops only print a loud `WARN` for a human to eyeball.
+//!   The scheduler has a single engine and no same-run ratio, so its
+//!   per-workload moves/sec are advisory only.
 //!
 //! Missing files or metrics — the first CI run, or a record schema that
 //! grew a new field — only warn, so the gate never blocks
@@ -101,9 +103,8 @@ const ADVISORY: [(&str, &str); 18] = [
 /// One run's records, keyed by file name.
 type Run = Vec<(&'static str, Option<Json>)>;
 
-/// One scheduler workload's metrics:
-/// `(name, speedup, moves/sec, pruned_speedup)`.
-type WorkloadRow = (String, Option<f64>, Option<f64>, Option<f64>);
+/// One scheduler workload's metrics: `(name, moves/sec)`.
+type WorkloadRow = (String, Option<f64>);
 
 fn load(dir: &Path, file: &str, warn_missing: bool) -> Option<Json> {
     let path = dir.join(file);
@@ -208,8 +209,7 @@ fn check(label: &str, baseline: Option<f64>, cur: Option<f64>, gating: bool) -> 
     dropped
 }
 
-/// `(benchmark name, same-run speedup, absolute moves/sec, pruned vs
-/// full-argmax speedup)` per scheduler workload.
+/// `(benchmark name, absolute moves/sec)` per scheduler workload.
 fn scheduler_workloads(j: &Json) -> Vec<WorkloadRow> {
     j.get("workloads")
         .and_then(Json::as_array)
@@ -217,10 +217,8 @@ fn scheduler_workloads(j: &Json) -> Vec<WorkloadRow> {
             ws.iter()
                 .filter_map(|w| {
                     let name = w.get("benchmark")?.as_str()?.to_string();
-                    let speedup = w.get("speedup").and_then(Json::as_f64);
-                    let rate = w.get("incremental_moves_per_sec").and_then(Json::as_f64);
-                    let pruned = w.get("pruned_speedup").and_then(Json::as_f64);
-                    Some((name, speedup, rate, pruned))
+                    let rate = w.get("moves_per_sec").and_then(Json::as_f64);
+                    Some((name, rate))
                 })
                 .collect()
         })
@@ -258,8 +256,9 @@ fn main() -> ExitCode {
     }
 
     // Scheduler records hold one entry per workload; median each
-    // workload's speedup across the baseline runs and flag workloads
-    // that vanished from the current run.
+    // workload's throughput across the baseline runs (advisory: there
+    // is no retained baseline engine to form a same-run ratio with) and
+    // flag workloads that vanished from the current run.
     let sched = |records: &Run| -> Option<Json> {
         records
             .iter()
@@ -271,44 +270,27 @@ fn main() -> ExitCode {
         .filter_map(|run| sched(run).map(|j| scheduler_workloads(&j)))
         .collect();
     if let Some(cur) = sched(&cur_records) {
-        let per_workload = |name: &str, pick: fn(&WorkloadRow) -> Option<f64>| {
-            median(
+        let cur_ws = scheduler_workloads(&cur);
+        for (name, cur_rate) in &cur_ws {
+            let baseline_rate = median(
                 prev_sched
                     .iter()
-                    .filter_map(|ws| ws.iter().find(|(n, ..)| n == name).and_then(pick))
+                    .filter_map(|ws| ws.iter().find(|(n, _)| n == name).and_then(|(_, r)| *r))
                     .collect(),
-            )
-        };
-        let cur_ws = scheduler_workloads(&cur);
-        for (name, cur_speedup, cur_rate, cur_pruned) in &cur_ws {
-            let dropped = check(
-                &format!("BENCH_scheduler.json:{name}:speedup"),
-                per_workload(name, |(_, s, _, _)| *s),
-                *cur_speedup,
-                true,
             );
-            regressed |= dropped;
             check(
-                &format!("BENCH_scheduler.json:{name}:incremental_moves_per_sec"),
-                per_workload(name, |(_, _, r, _)| *r),
+                &format!("BENCH_scheduler.json:{name}:moves_per_sec"),
+                baseline_rate,
                 *cur_rate,
-                false,
-            );
-            // Pruned vs full-argmax is a same-run ratio, but it is new
-            // this cycle: advisory until a baseline window accumulates.
-            check(
-                &format!("BENCH_scheduler.json:{name}:pruned_speedup"),
-                per_workload(name, |(_, _, _, p)| *p),
-                *cur_pruned,
                 false,
             );
         }
         let baseline_names: std::collections::BTreeSet<&str> = prev_sched
             .iter()
-            .flat_map(|ws| ws.iter().map(|(n, ..)| n.as_str()))
+            .flat_map(|ws| ws.iter().map(|(n, _)| n.as_str()))
             .collect();
         for name in baseline_names {
-            if !cur_ws.iter().any(|(n, ..)| n == name) {
+            if !cur_ws.iter().any(|(n, _)| n == name) {
                 println!(
                     "warn: BENCH_scheduler.json: workload {name} present in a baseline run is missing from this one"
                 );

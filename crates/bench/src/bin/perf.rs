@@ -15,10 +15,8 @@
 //! * `BENCH_router.json` — routes/sec pushing the 16-qubit RCS
 //!   benchmark through LinQ, incremental vs the retained reference
 //!   scorer.
-//! * `BENCH_scheduler.json` — moves/sec scheduling QFT/RCS/QAOA
-//!   workloads through Algorithm 2: the default bound-pruned engine vs
-//!   the retained rescan engine, plus the unpruned incremental engine
-//!   (`full_argmax_secs`) isolating the lazy-argmax win.
+//! * `BENCH_scheduler.json` — absolute moves/sec scheduling QFT/RCS/QAOA
+//!   workloads through Algorithm 2 (`schedule`, the only engine).
 //! * `BENCH_engine.json` — circuits/sec pushing a batch of small
 //!   circuits through the `Engine` session API, batch/service mode
 //!   (per-worker scratch reuse + pool fan-out) vs one `run` call per
@@ -62,7 +60,7 @@ use tilt_circuit::{Circuit, Qubit};
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
 use tilt_compiler::route::LinqConfig;
-use tilt_compiler::schedule::{schedule_with, ScheduleConfig, SchedulerKind};
+use tilt_compiler::schedule::{schedule, SchedulerKind};
 use tilt_compiler::{DeviceSpec, RouterKind};
 use tilt_engine::{
     Backend, Engine, NullSink, Service, SimMethod, TiltError, VerifyLevel, DEFAULT_STREAM_WINDOW,
@@ -299,7 +297,7 @@ fn main() {
         format!("{:.2}x", t_ref / t_inc),
     ]);
 
-    // --- Algorithm 2 scheduling, incremental vs rescan --------------------
+    // --- Algorithm 2 scheduling ------------------------------------------
     let workloads: [(&str, Circuit, usize); 4] = [
         ("qft24_head8", qft(24), 8),
         ("qft32_head8", qft(32), 8),
@@ -316,22 +314,10 @@ fn main() {
             .expect("perf workloads route");
         let lowered = decompose(&routed.circuit);
         let kind = SchedulerKind::GreedyMaxExecutable;
-        // Both engines produce this exact program (decision-identical);
-        // schedule once for the counts, then time the engines.
-        let program = schedule_with(&lowered, spec, ScheduleConfig::new(kind));
+        let program = schedule(&lowered, spec, kind);
         let moves = program.move_count() as f64;
-        let t_fast = time_median(5, || {
-            std::hint::black_box(schedule_with(&lowered, spec, ScheduleConfig::new(kind)));
-        });
-        let t_full = time_median(3, || {
-            std::hint::black_box(schedule_with(
-                &lowered,
-                spec,
-                ScheduleConfig::unpruned(kind),
-            ));
-        });
-        let t_slow = time_median(3, || {
-            std::hint::black_box(schedule_with(&lowered, spec, ScheduleConfig::rescan(kind)));
+        let t = time_median(5, || {
+            std::hint::black_box(schedule(&lowered, spec, kind));
         });
         records.push(
             Json::object()
@@ -339,25 +325,14 @@ fn main() {
                 .set("n_qubits", circuit.n_qubits())
                 .set("scheduled_gates", program.gate_count())
                 .set("moves", moves)
-                .set("incremental_secs", t_fast)
-                .set("full_argmax_secs", t_full)
-                .set("rescan_secs", t_slow)
-                .set("incremental_moves_per_sec", moves / t_fast)
-                .set("rescan_moves_per_sec", moves / t_slow)
-                .set("speedup", t_slow / t_fast)
-                .set("pruned_speedup", t_full / t_fast),
+                .set("secs", t)
+                .set("moves_per_sec", moves / t),
         );
         table.row([
             format!("scheduler {name}"),
-            format!("{:.0} moves/s", moves / t_slow),
-            format!("{:.0} moves/s", moves / t_fast),
-            format!("{:.2}x", t_slow / t_fast),
-        ]);
-        table.row([
-            format!("sched {name} argmax"),
-            format!("{:.0} moves/s", moves / t_full),
-            format!("{:.0} moves/s", moves / t_fast),
-            format!("{:.2}x", t_full / t_fast),
+            "-".to_string(),
+            format!("{:.0} moves/s", moves / t),
+            "-".to_string(),
         ]);
     }
     let scheduler = Json::object()

@@ -11,30 +11,29 @@
 //! the head over the oldest ready gate each round; it exists to quantify
 //! the benefit of Eq. 2 (ablation, DESIGN.md §5).
 //!
-//! Three engines implement the Eq. 2 policies. The seed **rescan**
-//! engine recomputes every position's executable-gate count from
-//! scratch each round; the **incremental** engine ([`incremental`])
-//! keeps per-position counts in a bucket index and rescores only the
-//! positions whose counts a round's retired/unlocked gates could have
-//! changed; the default **bound-pruned** engine additionally skips
-//! rescoring dirty positions whose monotone score ceiling (the
-//! incomplete gates covering the position) provably cannot beat the
-//! round's incumbent — the "lazy argmax". All three make identical
-//! decisions (see the `engines_agree` tests and
-//! `tests/scheduler_equivalence.rs`); the slower engines are retained
-//! behind [`ScheduleConfig::rescan`] and [`ScheduleConfig::unpruned`]
-//! as reference paths and benchmark baselines, mirroring the router's
-//! `LinqConfig` knob.
+//! One engine runs every policy: `StreamScheduler`, which keeps
+//! per-position executable-gate counts incrementally, rescores only the
+//! positions a round could have changed, and skips positions whose
+//! score ceiling cannot beat the round's incumbent (see the `streaming`
+//! module docs). It ingests gates one at a time under an eligibility
+//! horizon ([`DEFAULT_HORIZON`]), so the one-shot [`schedule`] and the
+//! windowed `pipeline::streaming` path make the same decisions with an
+//! O(horizon) working set.
+//!
+//! [`schedule_rescan_capped`] is the plain rescan reference that the
+//! equivalence tests compare the engine against; no production path
+//! calls it.
 
-mod incremental;
+mod oracle;
 mod streaming;
 
+#[doc(hidden)]
+pub use oracle::schedule_rescan_capped;
 pub(crate) use streaming::StreamScheduler;
 
-use crate::program::{TiltOp, TiltProgram};
+use crate::program::TiltProgram;
 use crate::spec::DeviceSpec;
-use std::collections::{HashMap, HashSet};
-use tilt_circuit::{Circuit, Dag, Gate, ReadyTracker};
+use tilt_circuit::Circuit;
 
 /// Which tape-scheduling policy to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,87 +72,12 @@ impl SchedulerKind {
     }
 }
 
-/// Full scheduling configuration: the policy plus the engine that
-/// evaluates it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduleConfig {
-    /// Which tape-scheduling policy to run.
-    pub kind: SchedulerKind,
-    /// Engine selection for the Eq. 2 policies: `true` (the default)
-    /// maintains per-position executable-gate counts incrementally;
-    /// `false` re-derives every position's count each round, as the
-    /// seed did. All engines produce identical programs; the rescan
-    /// engine exists as the benchmark baseline.
-    pub incremental: bool,
-    /// With the incremental engine, `true` (the default) also prunes the
-    /// argmax: dirty positions whose score ceiling cannot beat the
-    /// round's incumbent skip their cascade walk entirely. `false`
-    /// rescores every dirty position (the PR-3 engine, retained as the
-    /// pruning baseline). Ignored when `incremental` is `false`.
-    pub pruned: bool,
-    /// Eligibility horizon: each scheduling round only considers gates
-    /// whose index lies below `min(floor + horizon, n)`, where `floor`
-    /// is the smallest incomplete gate index. Circuits shorter than the
-    /// horizon are unaffected (the bound never binds and the monolithic
-    /// engines run unchanged); longer circuits are scheduled by the
-    /// bounded-memory streaming engine so that one-shot compiles agree
-    /// byte for byte with the windowed `pipeline::streaming` path,
-    /// whose working set is O(horizon) rather than O(circuit).
-    pub horizon: usize,
-}
-
-/// The default eligibility horizon ([`ScheduleConfig::horizon`]):
-/// generous enough that every realistic in-memory circuit schedules on
-/// the unbounded engines, small enough that million-gate streams keep
-/// a bounded working set.
+/// The eligibility horizon: each scheduling round only considers gates
+/// whose index lies below `min(floor + DEFAULT_HORIZON, n)`, where
+/// `floor` is the smallest incomplete gate index. Generous enough that
+/// the bound never binds on a realistic in-memory circuit, small enough
+/// that million-gate streams keep a bounded working set.
 pub const DEFAULT_HORIZON: usize = 1 << 17;
-
-impl Default for ScheduleConfig {
-    fn default() -> Self {
-        ScheduleConfig::new(SchedulerKind::default())
-    }
-}
-
-impl ScheduleConfig {
-    /// The bound-pruned incremental engine (the default) running `kind`.
-    pub fn new(kind: SchedulerKind) -> Self {
-        ScheduleConfig {
-            kind,
-            incremental: true,
-            pruned: true,
-            horizon: DEFAULT_HORIZON,
-        }
-    }
-
-    /// The incremental engine without argmax pruning — every dirty
-    /// position is rescored each round.
-    pub fn unpruned(kind: SchedulerKind) -> Self {
-        ScheduleConfig {
-            kind,
-            incremental: true,
-            pruned: false,
-            horizon: DEFAULT_HORIZON,
-        }
-    }
-
-    /// The retained seed engine running `kind` — rescans every head
-    /// position per decision.
-    pub fn rescan(kind: SchedulerKind) -> Self {
-        ScheduleConfig {
-            kind,
-            incremental: false,
-            pruned: false,
-            horizon: DEFAULT_HORIZON,
-        }
-    }
-
-    /// Overrides the eligibility horizon (clamped to at least 1).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        self.horizon = horizon.max(1);
-        self
-    }
-}
 
 /// Schedules a routed physical circuit into an executable [`TiltProgram`].
 ///
@@ -161,7 +85,9 @@ impl ScheduleConfig {
 /// must fit under the head simultaneously.
 ///
 /// Barriers are honoured as scheduling fences but are not emitted as
-/// machine operations.
+/// machine operations. Each round considers only the gates within
+/// [`DEFAULT_HORIZON`] of the oldest incomplete one, which binds only on
+/// circuits longer than the horizon.
 ///
 /// # Panics
 ///
@@ -185,219 +111,13 @@ impl ScheduleConfig {
 /// # Ok::<(), tilt_compiler::CompileError>(())
 /// ```
 pub fn schedule(physical: &Circuit, spec: DeviceSpec, kind: SchedulerKind) -> TiltProgram {
-    schedule_with(physical, spec, ScheduleConfig::new(kind))
-}
-
-/// [`schedule`] with an explicit engine choice; see [`ScheduleConfig`].
-///
-/// # Panics
-///
-/// As [`schedule`].
-pub fn schedule_with(physical: &Circuit, spec: DeviceSpec, config: ScheduleConfig) -> TiltProgram {
-    for g in physical {
-        if let Some(d) = g.span() {
-            assert!(
-                d < spec.head_size(),
-                "unrouted gate {g:?} spans {d} ≥ head size {}",
-                spec.head_size()
-            );
-        }
-    }
-    let horizon = config.horizon.max(1);
-    if horizon < physical.len() {
-        // The eligibility horizon binds: schedule on the bounded-window
-        // engines so the result matches the streaming pipeline exactly.
-        // The rescan config keeps its role as the reference engine via
-        // the horizon-capped seed loop.
-        return match config.kind.penalty_permille() {
-            Some(_) if config.incremental => {
-                streaming::schedule_stream_monolithic(physical, spec, config.kind, horizon)
-            }
-            _ => streaming::schedule_rescan_capped(physical, spec, config.kind, horizon),
-        };
-    }
-    match config.kind.penalty_permille() {
-        Some(penalty) if config.incremental && config.pruned => {
-            incremental::schedule_incremental_pruned(physical, spec, penalty)
-        }
-        Some(penalty) if config.incremental => {
-            incremental::schedule_incremental(physical, spec, penalty)
-        }
-        // NaiveNextGate never scores positions, so there is nothing to
-        // maintain incrementally; it always runs on the rescan loop.
-        _ => schedule_rescan(physical, spec, config.kind),
-    }
-}
-
-/// The seed engine: one full pass over every head position per
-/// decision.
-fn schedule_rescan(physical: &Circuit, spec: DeviceSpec, kind: SchedulerKind) -> TiltProgram {
-    let dag = Dag::new(physical);
-    let mut tracker = ReadyTracker::new(&dag);
-    let mut ops: Vec<TiltOp> = Vec::with_capacity(physical.len());
-    let mut head: Option<usize> = None;
-
-    while !tracker.is_done() {
-        let pos = match kind {
-            SchedulerKind::GreedyMaxExecutable => {
-                best_position(physical, &dag, &tracker, spec, head, 0)
-            }
-            SchedulerKind::DistanceDiscounted { penalty_permille } => best_position(
-                physical,
-                &dag,
-                &tracker,
-                spec,
-                head,
-                penalty_permille as i64,
-            ),
-            SchedulerKind::NaiveNextGate => {
-                let oldest = *tracker
-                    .ready()
-                    .iter()
-                    .min()
-                    .expect("tracker not done implies ready gates exist");
-                leftmost_position_covering(physical, spec, oldest)
-            }
-        };
-
-        if head != Some(pos) {
-            if head.is_some() {
-                ops.push(TiltOp::Move { to: pos });
-            }
-            head = Some(pos);
-        }
-
-        // Drain the cascade of executable gates at `pos` in dependency
-        // order, mutating the global tracker.
-        let mut executed_any = false;
-        loop {
-            let next = tracker
-                .ready()
-                .iter()
-                .copied()
-                .filter(|&i| gate_fits(physical.gates()[i], spec, pos))
-                .min();
-            let Some(i) = next else { break };
-            tracker.complete(&dag, i);
-            executed_any = true;
-            let gate = physical.gates()[i];
-            if !matches!(gate, Gate::Barrier) {
-                ops.push(TiltOp::Gate {
-                    gate,
-                    head_pos: pos,
-                });
-            }
-        }
-        assert!(
-            executed_any,
-            "scheduler made no progress at position {pos}; this is a bug"
-        );
-    }
-
-    TiltProgram::new(spec, ops)
-}
-
-/// True when every operand of `g` is covered by the head at `pos`
-/// (barriers fit anywhere).
-fn gate_fits(g: Gate, spec: DeviceSpec, pos: usize) -> bool {
-    g.qubits().iter().all(|q| spec.covers(pos, q.index()))
-}
-
-/// Algorithm 2 scoring loop: the executable-gate count `n_p` for every
-/// head position (discounted by travel distance at `penalty_permille`
-/// thousandths of a gate per ion spacing), returning the argmax. Ties
-/// prefer staying at the current head position (a free non-move), then
-/// the closest position, then the leftmost.
-fn best_position(
-    physical: &Circuit,
-    dag: &Dag,
-    tracker: &ReadyTracker,
-    spec: DeviceSpec,
-    head: Option<usize>,
-    penalty_permille: i64,
-) -> usize {
-    let mut best_pos = 0usize;
-    let mut best_score = i64::MIN;
-    let mut best_dist = usize::MAX;
-    let mut any = false;
-    for p in spec.head_positions() {
-        let count = executable_count(physical, dag, tracker, spec, p);
-        if count == 0 {
-            continue;
-        }
-        any = true;
-        let dist = head.map_or(0, |h| h.abs_diff(p));
-        let score = count as i64 * 1000 - penalty_permille * dist as i64;
-        if score > best_score || (score == best_score && dist < best_dist) {
-            best_score = score;
-            best_pos = p;
-            best_dist = dist;
-        }
-    }
-    assert!(
-        any,
-        "no head position can execute any ready gate; circuit is unroutable"
-    );
-    best_pos
-}
-
-/// Counts the cascade of gates executable at head position `pos` without
-/// mutating the global tracker: ready gates covered by the head execute,
-/// potentially unlocking successors that are also covered, and so on
-/// (dependency order, exactly as the real drain loop would).
-fn executable_count(
-    physical: &Circuit,
-    dag: &Dag,
-    tracker: &ReadyTracker,
-    spec: DeviceSpec,
-    pos: usize,
-) -> usize {
-    let mut queue: Vec<usize> = tracker
-        .ready()
-        .iter()
-        .copied()
-        .filter(|&i| gate_fits(physical.gates()[i], spec, pos))
-        .collect();
-    let mut executed: HashSet<usize> = HashSet::new();
-    // Local in-degree adjustments for gates unlocked during the cascade.
-    let mut local_indeg: HashMap<usize, usize> = HashMap::new();
-    let mut count = 0usize;
-
-    while let Some(i) = queue.pop() {
-        if !executed.insert(i) {
-            continue;
-        }
-        if !matches!(physical.gates()[i], Gate::Barrier) {
-            count += 1;
-        }
-        for &s in dag.succs(i) {
-            let remaining = local_indeg.entry(s).or_insert_with(|| {
-                dag.preds(s)
-                    .iter()
-                    .filter(|&&p| !tracker.is_complete(p))
-                    .count()
-            });
-            *remaining -= 1;
-            if *remaining == 0 && gate_fits(physical.gates()[s], spec, pos) {
-                queue.push(s);
-            }
-        }
-    }
-    count
-}
-
-/// The leftmost head position covering gate `i` (barriers default to 0).
-fn leftmost_position_covering(physical: &Circuit, spec: DeviceSpec, i: usize) -> usize {
-    let g = physical.gates()[i];
-    spec.covering_head_positions(g.qubits().iter().map(|q| q.index()))
-        .map(|r| *r.start())
-        .unwrap_or(0)
+    streaming::schedule_circuit(physical, spec, kind, DEFAULT_HORIZON)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilt_circuit::Qubit;
+    use tilt_circuit::{Gate, Qubit};
 
     fn spec(n: usize, head: usize) -> DeviceSpec {
         DeviceSpec::new(n, head).unwrap()
@@ -528,11 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn all_three_engines_agree_on_structured_workloads() {
+    fn schedule_matches_oracle_on_structured_workloads() {
         // Mixed zones, chains, barriers, and single-qubit traffic: the
-        // incremental and bound-pruned engines must reproduce the seed
-        // engine's program op-for-op (positions, moves, and
-        // executed-gate order).
+        // engine must reproduce the rescan oracle's program op-for-op
+        // (positions, moves, and executed-gate order).
         let mut zones = Circuit::new(32);
         for r in 0..4 {
             for i in 0..28 {
@@ -564,29 +283,15 @@ mod tests {
             SchedulerKind::DistanceDiscounted {
                 penalty_permille: 2000,
             },
+            SchedulerKind::NaiveNextGate,
         ];
         for (c, n, head) in &workloads {
             for kind in kinds {
-                let pruned = schedule_with(c, spec(*n, *head), ScheduleConfig::new(kind));
-                let unpruned = schedule_with(c, spec(*n, *head), ScheduleConfig::unpruned(kind));
-                let slow = schedule_with(c, spec(*n, *head), ScheduleConfig::rescan(kind));
-                assert_eq!(unpruned, slow, "{kind:?} diverged on {n}-ion workload");
-                assert_eq!(
-                    pruned, slow,
-                    "{kind:?} pruning diverged on {n}-ion workload"
-                );
+                let scheduled = schedule(c, spec(*n, *head), kind);
+                let oracle = schedule_rescan_capped(c, spec(*n, *head), kind, c.len());
+                assert_eq!(scheduled, oracle, "{kind:?} diverged on {n}-ion workload");
             }
         }
-    }
-
-    #[test]
-    fn schedule_defaults_to_the_incremental_engine() {
-        let mut c = Circuit::new(16);
-        c.xx(Qubit(0), Qubit(1), 0.5);
-        c.xx(Qubit(14), Qubit(15), 0.5);
-        let via_kind = schedule(&c, spec(16, 4), SchedulerKind::GreedyMaxExecutable);
-        let via_config = schedule_with(&c, spec(16, 4), ScheduleConfig::default());
-        assert_eq!(via_kind, via_config);
     }
 
     #[test]
@@ -608,6 +313,21 @@ mod tests {
             for q in g.qubits() {
                 assert!(spec(16, 4).covers(pos, q.index()));
             }
+        }
+    }
+
+    #[test]
+    fn barrier_only_circuit_schedules_to_empty_program() {
+        // No position scores a gate, so the barriers complete without a
+        // head position (the round's barrier relief).
+        let mut c = Circuit::new(8);
+        c.barrier();
+        c.barrier();
+        for kind in [
+            SchedulerKind::GreedyMaxExecutable,
+            SchedulerKind::NaiveNextGate,
+        ] {
+            assert!(schedule(&c, spec(8, 4), kind).ops().is_empty(), "{kind:?}");
         }
     }
 

@@ -1,21 +1,19 @@
-//! The horizon-bounded streaming Algorithm-2 engine.
+//! The Algorithm-2 engine.
 //!
-//! The incremental engines in [`super::incremental`] hold the whole
-//! physical circuit, its dependency DAG, and the finished op list in
-//! memory — O(circuit) at every stage. This module bounds the
-//! scheduler's working set to O(horizon): [`StreamScheduler`] ingests
-//! gates one at a time, maintains the dependency frontier with inline
+//! [`StreamScheduler`] runs every schedule. The one-shot
+//! [`super::schedule`] pushes a whole circuit through it; the windowed
+//! `pipeline::streaming` path pushes routed gates as they arrive. It
+//! ingests gates one at a time, keeps the dependency frontier in inline
 //! per-gate edge lists instead of a CSR DAG, and retires a compacted
-//! prefix as gates complete, so a million-gate stream schedules in a
-//! fixed-size window.
+//! prefix as gates complete, so its working set is O(horizon) and a
+//! million-gate stream schedules in a fixed-size window.
 //!
 //! # Eligibility horizon
 //!
 //! Algorithm 2's cascade score can, in principle, chain through the
-//! entire remaining circuit (a long run of gates on one zone), so exact
-//! agreement with the *unbounded* engines fundamentally requires whole-
-//! circuit lookahead. The streaming engine therefore schedules under an
-//! **eligibility horizon** `H` ([`super::ScheduleConfig::horizon`]):
+//! entire remaining circuit (a long run of gates on one zone), so a
+//! bounded working set needs a bounded lookahead. The engine schedules
+//! under an **eligibility horizon** `H` ([`super::DEFAULT_HORIZON`]):
 //! each round only the gates with index below
 //!
 //! ```text
@@ -27,38 +25,67 @@
 //! the next round). The gate at `floor` has all predecessors below
 //! `floor`, hence complete, so it is always ready and always eligible
 //! (`floor < E` whenever work remains): every round makes progress and
-//! the bound never deadlocks.
+//! the bound never deadlocks. Circuits shorter than `H` never bind `E`,
+//! so they get the unbounded seed algorithm's decisions. Rounds only
+//! run once the stream reaches `floor + H` or ends, so how the input is
+//! split into pushes never changes a decision.
 //!
-//! Sub-horizon circuits never bind `E`, and [`super::schedule_with`]
-//! routes them to the unchanged monolithic engines; this module is
-//! decision-identical to them in that regime (pinned by the in-crate
-//! equivalence tests). When the horizon binds, the monolithic entry
-//! points below ([`schedule_stream_monolithic`],
-//! [`schedule_rescan_capped`]) apply the *same* capped rule, so the
-//! windowed pipeline and a one-shot compile of the same circuit still
-//! agree byte for byte.
+//! The test oracle [`super::schedule_rescan_capped`] applies the same
+//! capped rule with none of this module's machinery; the equivalence
+//! suites compare the two.
+//!
+//! # Incremental scoring
+//!
+//! A round retires only the gates under the chosen position and unlocks
+//! some of their successors, so most positions' Eq. 2 counts survive it:
+//!
+//! * Each gate's covering positions form a contiguous range, so
+//!   executability is one range check.
+//! * After a round retires gate set `X`, a position's count can only
+//!   have changed if some gate of `X` covers it, or some successor of
+//!   `X` (whose unlock threshold just dropped) could newly join its
+//!   cascade: the successor's range intersected with its
+//!   still-incomplete predecessors' ranges. Only those **dirty**
+//!   positions lose their cached count.
+//! * Rescoring walks the cascade on epoch-stamped scratch arrays, seeded
+//!   from per-position ready lists that are compacted lazily.
+//! * The drain replays the seed's min-index-first cascade through a
+//!   binary heap.
+//!
+//! # The bound-pruned argmax
+//!
+//! Even a dirty position's cascade walk is skipped when the position
+//! provably cannot win the round. `cover[p]` counts the incomplete,
+//! eligible, non-barrier gates whose range contains `p`. Every gate a
+//! cascade at `p` executes is one of them, so `Score(p) ≤ cover[p]`, and
+//! retiring gates only shrinks `cover[p]` (the monotone-unlock argument;
+//! see `crates/compiler/README.md` for the proof sketch). Each round the
+//! clean positions' exact counts establish an incumbent. Dirty
+//! candidates are then visited in decreasing bound order and rescored
+//! until the first one whose ceiling is *strictly* below the incumbent's
+//! score; equal ceilings still walk, because a tie could be won on the
+//! distance/leftmost tie-breaks. Skipped positions stay dirty.
 //!
 //! # Incremental dependency tracking
 //!
-//! `Dag::new` needs the whole circuit; the streaming tracker rebuilds
-//! its exact edge structure on the fly. For a non-barrier gate the
-//! predecessors are the distinct last writers of its operands since the
-//! previous barrier (falling back to that barrier when none exist); a
-//! barrier depends on every non-barrier gate since the previous one
-//! (falling back to barrier-chaining over an empty span). A non-barrier
-//! gate therefore has at most two qubit-successors plus its closing
-//! barrier — three inline slots — while barriers keep a spill list.
-//! Only predecessors still incomplete at push time create edges; the
-//! residual `pending` count is exactly `ReadyTracker::pending_preds`,
-//! so the cascade scorer and the pruned-argmax bound carry over
-//! unchanged from the monolithic engine.
+//! `Dag::new` needs the whole circuit; the engine rebuilds its exact
+//! edge structure on the fly. For a non-barrier gate the predecessors
+//! are the distinct last writers of its operands since the previous
+//! barrier (falling back to that barrier when none exist); a barrier
+//! depends on every non-barrier gate since the previous one (falling
+//! back to barrier-chaining over an empty span). A non-barrier gate
+//! therefore has at most two qubit-successors plus its closing barrier,
+//! three inline slots, while a barrier's successors live in a sparse
+//! side table keyed by the barriers still resident. Only predecessors
+//! still incomplete at push time create edges; the residual `pending`
+//! count is exactly `ReadyTracker::pending_preds`.
 
 use super::SchedulerKind;
 use crate::program::{TiltOp, TiltProgram};
 use crate::spec::DeviceSpec;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use tilt_circuit::{Circuit, Dag, Gate, ReadyTracker};
+use tilt_circuit::{Circuit, Gate};
 
 /// Sentinel for "no gate" in the per-qubit last-writer table.
 const NO_GATE: u32 = u32::MAX;
@@ -73,14 +100,18 @@ struct GateRec {
     /// in-degree `ReadyTracker::pending_preds` would report).
     pending: u32,
     done: bool,
-    /// Forward edges: ≤ 2 qubit-successors + the closing barrier.
-    /// Barriers overflow into [`StreamScheduler::barrier_succs`].
+    /// Forward edges of a non-barrier gate: ≤ 2 qubit-successors + the
+    /// closing barrier. A barrier's successors live in
+    /// [`StreamScheduler::barrier_succs`] instead.
     succs: [u32; 3],
     n_succs: u8,
-    /// Non-barrier predecessors incomplete at push time, for the dirty-
-    /// range narrowing walk (a barrier predecessor covers every
-    /// position, so the intersection it contributes is a no-op and it
-    /// is not stored).
+    /// Predecessors for the dirty-range narrowing walk. A non-barrier
+    /// gate keeps its non-barrier predecessors incomplete at push time
+    /// (a barrier predecessor covers every position, so the
+    /// intersection it contributes is a no-op and it is not stored). A
+    /// barrier depends on every non-barrier gate of its span, which is
+    /// contiguous: `preds[0]` holds the span's first index and the span
+    /// ends at the barrier itself.
     preds: [u32; 2],
     n_preds: u8,
 }
@@ -93,8 +124,8 @@ impl GateRec {
 
 /// The bounded-memory scheduler: push gates, drain [`TiltOp`]s.
 ///
-/// Decision-identical to the monolithic engines whenever the horizon
-/// does not bind, and to [`schedule_rescan_capped`] when it does.
+/// Decision-identical to [`super::schedule_rescan_capped`] under the
+/// same horizon.
 pub(crate) struct StreamScheduler {
     spec: DeviceSpec,
     /// `Some(penalty)` for the Eq. 2 scorers, `None` for NaiveNextGate.
@@ -105,7 +136,8 @@ pub(crate) struct StreamScheduler {
     /// Global index of `recs[0]`; everything below is retired.
     base: usize,
     recs: Vec<GateRec>,
-    /// Spilled successor lists for barriers (keyed by global index).
+    /// Successor lists of the resident barriers, keyed by global index;
+    /// compaction retires the entries of retired barriers.
     barrier_succs: HashMap<usize, Vec<u32>>,
     /// Gates ingested so far.
     total: usize,
@@ -246,6 +278,7 @@ impl StreamScheduler {
                 }
             }
             rec.pending = pending;
+            rec.preds[0] = self.span_start as u32;
             self.last_barrier = Some(idx);
             self.span_start = idx + 1;
             self.last_on.fill(NO_GATE);
@@ -404,8 +437,7 @@ impl StreamScheduler {
             debug_assert!(!self.recs[slot].done && self.recs[slot].pending == 0);
             self.recs[slot].done = true;
             self.n_done += 1;
-            for k in 0..succ_count(&self.recs[slot], &self.barrier_succs, i) {
-                let s = succ_at(&self.recs[slot], &self.barrier_succs, i, k) as usize;
+            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
                 let srec = &mut self.recs[s - self.base];
                 srec.pending -= 1;
                 if srec.pending == 0 && s < e {
@@ -465,8 +497,7 @@ impl StreamScheduler {
             debug_assert!(matches!(self.recs[slot].gate, Gate::Barrier));
             self.recs[slot].done = true;
             self.n_done += 1;
-            for k in 0..succ_count(&self.recs[slot], &self.barrier_succs, i) {
-                let s = succ_at(&self.recs[slot], &self.barrier_succs, i, k) as usize;
+            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
                 let srec = &mut self.recs[s - self.base];
                 srec.pending -= 1;
                 if srec.pending == 0 && s < e {
@@ -506,8 +537,7 @@ impl StreamScheduler {
             for p in lo..=hi {
                 self.dirty[p] = true;
             }
-            for k in 0..succ_count(&self.recs[slot], &self.barrier_succs, i) {
-                let s = succ_at(&self.recs[slot], &self.barrier_succs, i, k) as usize;
+            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
                 if s >= e {
                     // Not yet eligible: activation will dirty its full
                     // range when it joins.
@@ -520,14 +550,26 @@ impl StreamScheduler {
                 self.succ_epoch[sslot] = self.succ_epoch_counter;
                 let srec = &self.recs[sslot];
                 let (mut slo, mut shi) = (srec.lo, srec.hi);
-                for &q in &srec.preds[..srec.n_preds as usize] {
-                    if !self.done_at(q as usize) {
-                        let qrec = &self.recs[q as usize - self.base];
-                        slo = slo.max(qrec.lo);
-                        shi = shi.min(qrec.hi);
+                let (span, inline) = if matches!(srec.gate, Gate::Barrier) {
+                    (srec.preds[0] as usize..s, &[][..])
+                } else {
+                    (0..0, &srec.preds[..srec.n_preds as usize])
+                };
+                for q in span.chain(inline.iter().map(|&q| q as usize)) {
+                    if self.done_at(q) {
+                        continue;
+                    }
+                    let qrec = &self.recs[q - self.base];
+                    slo = slo.max(qrec.lo);
+                    shi = shi.min(qrec.hi);
+                    if slo > shi {
+                        break;
                     }
                 }
                 if slo > shi {
+                    // Some incomplete predecessor shares no covering
+                    // position with `s`: no cascade anywhere can admit
+                    // it this round.
                     continue;
                 }
                 for p in slo as usize..=shi as usize {
@@ -618,8 +660,7 @@ impl StreamScheduler {
             if !matches!(self.recs[slot].gate, Gate::Barrier) {
                 count += 1;
             }
-            for k in 0..succ_count(&self.recs[slot], &self.barrier_succs, i) {
-                let s = succ_at(&self.recs[slot], &self.barrier_succs, i, k) as usize;
+            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
                 if s >= e {
                     continue;
                 }
@@ -661,26 +702,29 @@ impl StreamScheduler {
     }
 }
 
-/// Successor count of the gate at global index `i` (inline + spill).
-fn succ_count(rec: &GateRec, spill: &HashMap<usize, Vec<u32>>, i: usize) -> usize {
-    rec.n_succs as usize + spill.get(&i).map_or(0, Vec::len)
-}
-
-/// The `k`-th successor of the gate at global index `i`.
-fn succ_at(rec: &GateRec, spill: &HashMap<usize, Vec<u32>>, i: usize, k: usize) -> u32 {
-    let inline = rec.n_succs as usize;
-    if k < inline {
-        rec.succs[k]
+/// The successors of the gate at global index `i`: inline for a
+/// non-barrier gate, one side-table lookup for a barrier.
+fn succs_of<'a>(
+    rec: &GateRec,
+    barrier_succs: &'a HashMap<usize, Vec<u32>>,
+    i: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let spilled: &'a [u32] = if matches!(rec.gate, Gate::Barrier) {
+        barrier_succs.get(&i).map_or(&[], Vec::as_slice)
     } else {
-        spill[&i][k - inline]
-    }
+        &[]
+    };
+    rec.succs
+        .into_iter()
+        .take(rec.n_succs as usize)
+        .chain(spilled.iter().copied())
+        .map(|s| s as usize)
 }
 
-/// One-shot adapter: runs the streaming engine over an in-memory
-/// circuit. [`super::schedule_with`] routes horizon-binding circuits
-/// here so that a monolithic compile and the windowed pipeline agree
-/// byte for byte.
-pub(super) fn schedule_stream_monolithic(
+/// Schedules an in-memory circuit on a [`StreamScheduler`] with the
+/// given horizon. Gates go in one horizon-sized chunk at a time, so the
+/// resident window stays O(horizon) however long the circuit is.
+pub(super) fn schedule_circuit(
     physical: &Circuit,
     spec: DeviceSpec,
     kind: SchedulerKind,
@@ -688,8 +732,10 @@ pub(super) fn schedule_stream_monolithic(
 ) -> TiltProgram {
     let mut s = StreamScheduler::new(spec, kind, horizon);
     let mut ops: Vec<TiltOp> = Vec::with_capacity(physical.len());
-    for &g in physical.gates() {
-        s.push(g);
+    for chunk in physical.gates().chunks(s.horizon) {
+        for &g in chunk {
+            s.push(g);
+        }
         s.run_rounds(&mut ops);
     }
     s.finish_input();
@@ -698,174 +744,9 @@ pub(super) fn schedule_stream_monolithic(
     TiltProgram::new(spec, ops)
 }
 
-/// The rescan reference under the same eligibility horizon: a direct
-/// port of [`super::schedule_rescan`] with every scoring/drain step
-/// filtered to gates below the per-round bound `E`. Serves as the test
-/// oracle for the horizon-binding regime (monolithic memory; reference
-/// only).
-pub(super) fn schedule_rescan_capped(
-    physical: &Circuit,
-    spec: DeviceSpec,
-    kind: SchedulerKind,
-    horizon: usize,
-) -> TiltProgram {
-    let horizon = horizon.max(1);
-    let dag = Dag::new(physical);
-    let mut tracker = ReadyTracker::new(&dag);
-    let gates = physical.gates();
-    let n = gates.len();
-    let mut ops: Vec<TiltOp> = Vec::with_capacity(n);
-    let mut head: Option<usize> = None;
-    let mut floor = 0usize;
-
-    while !tracker.is_done() {
-        while floor < n && tracker.is_complete(floor) {
-            floor += 1;
-        }
-        let e = (floor + horizon).min(n);
-
-        let pos = match kind {
-            SchedulerKind::NaiveNextGate => {
-                let oldest = *tracker
-                    .ready()
-                    .iter()
-                    .filter(|&&i| i < e)
-                    .min()
-                    .expect("floor gate is always ready and eligible");
-                super::leftmost_position_covering(physical, spec, oldest)
-            }
-            _ => {
-                let penalty = kind
-                    .penalty_permille()
-                    .expect("scoring kinds carry a penalty");
-                let mut best_pos = 0usize;
-                let mut best_score = i64::MIN;
-                let mut best_dist = usize::MAX;
-                let mut any = false;
-                for p in spec.head_positions() {
-                    let count = capped_executable_count(physical, &dag, &tracker, spec, p, e);
-                    if count == 0 {
-                        continue;
-                    }
-                    any = true;
-                    let dist = head.map_or(0, |h| h.abs_diff(p));
-                    let score = count as i64 * 1000 - penalty * dist as i64;
-                    if score > best_score || (score == best_score && dist < best_dist) {
-                        best_score = score;
-                        best_pos = p;
-                        best_dist = dist;
-                    }
-                }
-                if !any {
-                    // Barrier relief, mirroring `StreamScheduler`: the
-                    // eligible ready set is all barriers — complete
-                    // them (min-index) without moving the head.
-                    let mut relieved = false;
-                    loop {
-                        let next = tracker
-                            .ready()
-                            .iter()
-                            .copied()
-                            .filter(|&i| i < e && matches!(gates[i], Gate::Barrier))
-                            .min();
-                        let Some(i) = next else { break };
-                        tracker.complete(&dag, i);
-                        relieved = true;
-                    }
-                    assert!(
-                        relieved,
-                        "no head position can execute any ready gate; circuit is unroutable"
-                    );
-                    continue;
-                }
-                best_pos
-            }
-        };
-
-        if head != Some(pos) {
-            if head.is_some() {
-                ops.push(TiltOp::Move { to: pos });
-            }
-            head = Some(pos);
-        }
-
-        let mut executed_any = false;
-        loop {
-            let next = tracker
-                .ready()
-                .iter()
-                .copied()
-                .filter(|&i| i < e && super::gate_fits(gates[i], spec, pos))
-                .min();
-            let Some(i) = next else { break };
-            tracker.complete(&dag, i);
-            executed_any = true;
-            let gate = gates[i];
-            if !matches!(gate, Gate::Barrier) {
-                ops.push(TiltOp::Gate {
-                    gate,
-                    head_pos: pos,
-                });
-            }
-        }
-        assert!(
-            executed_any,
-            "scheduler made no progress at position {pos}; this is a bug"
-        );
-    }
-
-    TiltProgram::new(spec, ops)
-}
-
-/// [`super::executable_count`] restricted to gates below `e`.
-fn capped_executable_count(
-    physical: &Circuit,
-    dag: &Dag,
-    tracker: &ReadyTracker,
-    spec: DeviceSpec,
-    pos: usize,
-    e: usize,
-) -> usize {
-    use std::collections::{HashMap, HashSet};
-    let gates = physical.gates();
-    let mut queue: Vec<usize> = tracker
-        .ready()
-        .iter()
-        .copied()
-        .filter(|&i| i < e && super::gate_fits(gates[i], spec, pos))
-        .collect();
-    let mut seen: HashSet<usize> = HashSet::new();
-    let mut local_indeg: HashMap<usize, usize> = HashMap::new();
-    let mut count = 0usize;
-    while let Some(i) = queue.pop() {
-        if !seen.insert(i) {
-            continue;
-        }
-        if !matches!(gates[i], Gate::Barrier) {
-            count += 1;
-        }
-        for &s in dag.succs(i) {
-            if s >= e {
-                continue;
-            }
-            let remaining = local_indeg.entry(s).or_insert_with(|| {
-                dag.preds(s)
-                    .iter()
-                    .filter(|&&p| !tracker.is_complete(p))
-                    .count()
-            });
-            *remaining -= 1;
-            if *remaining == 0 && super::gate_fits(gates[s], spec, pos) {
-                queue.push(s);
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{schedule_with, ScheduleConfig, SchedulerKind};
+    use super::super::{schedule, schedule_rescan_capped, SchedulerKind};
     use super::*;
     use tilt_circuit::Qubit;
 
@@ -918,13 +799,13 @@ mod tests {
     ];
 
     #[test]
-    fn non_binding_horizon_matches_monolithic_engines() {
+    fn non_binding_horizon_matches_oracle() {
         for seed in 0..4u64 {
             let c = workload(24, 160, seed);
             for kind in KINDS {
-                let mono = schedule_with(&c, spec(24, 6), ScheduleConfig::new(kind));
-                let streamed = schedule_stream_monolithic(&c, spec(24, 6), kind, c.len() + 1);
-                assert_eq!(streamed, mono, "kind {kind:?} seed {seed}");
+                let oracle = schedule_rescan_capped(&c, spec(24, 6), kind, c.len());
+                let scheduled = schedule(&c, spec(24, 6), kind);
+                assert_eq!(scheduled, oracle, "kind {kind:?} seed {seed}");
             }
         }
     }
@@ -936,21 +817,9 @@ mod tests {
             for kind in KINDS {
                 for horizon in [1usize, 2, 7, 32, 150] {
                     let reference = schedule_rescan_capped(&c, spec(20, 5), kind, horizon);
-                    let streamed = schedule_stream_monolithic(&c, spec(20, 5), kind, horizon);
+                    let streamed = schedule_circuit(&c, spec(20, 5), kind, horizon);
                     assert_eq!(streamed, reference, "kind {kind:?} seed {seed} H={horizon}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn capped_rescan_with_loose_horizon_is_the_seed_engine() {
-        for seed in 0..3u64 {
-            let c = workload(16, 120, seed);
-            for kind in KINDS {
-                let capped = schedule_rescan_capped(&c, spec(16, 4), kind, c.len());
-                let seed_engine = schedule_with(&c, spec(16, 4), ScheduleConfig::rescan(kind));
-                assert_eq!(capped, seed_engine, "kind {kind:?} seed {seed}");
             }
         }
     }
@@ -962,8 +831,7 @@ mod tests {
         let c = workload(24, 300, 9);
         let sp = spec(24, 6);
         for horizon in [16usize, 64, 1024] {
-            let bulk =
-                schedule_stream_monolithic(&c, sp, SchedulerKind::GreedyMaxExecutable, horizon);
+            let bulk = schedule_circuit(&c, sp, SchedulerKind::GreedyMaxExecutable, horizon);
             let mut s = StreamScheduler::new(sp, SchedulerKind::GreedyMaxExecutable, horizon);
             let mut ops = Vec::new();
             for (i, &g) in c.gates().iter().enumerate() {
@@ -979,21 +847,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compaction_keeps_memory_bounded() {
+    /// Streams `len` gates cycling over one 8-ion tape, with a barrier
+    /// every `barrier_every` gates (0 for none), and checks that the
+    /// resident state tracks the horizon rather than the stream.
+    fn assert_bounded_stream(len: usize, barrier_every: usize) {
         let sp = spec(8, 4);
-        let mut s = StreamScheduler::new(sp, SchedulerKind::GreedyMaxExecutable, 64);
+        let horizon = 64;
+        let mut s = StreamScheduler::new(sp, SchedulerKind::GreedyMaxExecutable, horizon);
         let mut ops = Vec::new();
-        for i in 0..200_000usize {
-            s.push(Gate::Xx(Qubit(i % 7), Qubit(i % 7 + 1), 0.1));
+        let mut barriers = 0usize;
+        for i in 0..len {
+            if barrier_every > 0 && i % barrier_every == barrier_every - 1 {
+                s.push(Gate::Barrier);
+                barriers += 1;
+            } else {
+                s.push(Gate::Xx(Qubit(i % 7), Qubit(i % 7 + 1), 0.1));
+            }
             s.run_rounds(&mut ops);
         }
-        // The retained window tracks the horizon, not the stream.
+        let bound = 8 * horizon + 2048;
         assert!(
-            s.recs.len() < 8 * 64 + 2048,
+            s.recs.len() < bound,
             "resident window grew to {}",
             s.recs.len()
         );
+        // The barrier side table holds entries for resident barriers
+        // only: compaction must retire the rest.
+        assert!(
+            s.barrier_succs.keys().all(|&b| b >= s.base),
+            "barrier side table kept retired barriers"
+        );
+        if let Some(resident_barriers) = bound.checked_div(barrier_every) {
+            assert!(
+                s.barrier_succs.len() <= resident_barriers + 1,
+                "barrier side table grew to {}",
+                s.barrier_succs.len()
+            );
+        }
         s.finish_input();
         s.run_rounds(&mut ops);
         assert!(s.is_done());
@@ -1001,7 +891,17 @@ mod tests {
             ops.iter()
                 .filter(|o| matches!(o, TiltOp::Gate { .. }))
                 .count(),
-            200_000
+            len - barriers
         );
+    }
+
+    #[test]
+    fn compaction_keeps_memory_bounded() {
+        assert_bounded_stream(200_000, 0);
+    }
+
+    #[test]
+    fn compaction_keeps_memory_bounded_with_barriers() {
+        assert_bounded_stream(200_000, 16);
     }
 }
