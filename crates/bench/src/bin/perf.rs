@@ -16,7 +16,9 @@
 //!   benchmark through LinQ, incremental vs the retained reference
 //!   scorer.
 //! * `BENCH_scheduler.json` — absolute moves/sec scheduling QFT/RCS/QAOA
-//!   workloads through Algorithm 2 (`schedule`, the only engine).
+//!   workloads through Algorithm 2 (`schedule`, the only engine),
+//!   including one lowered RCS long enough to bind the eligibility
+//!   horizon.
 //! * `BENCH_engine.json` — circuits/sec pushing a batch of small
 //!   circuits through the `Engine` session API, batch/service mode
 //!   (per-worker scratch reuse + pool fan-out) vs one `run` call per
@@ -298,11 +300,18 @@ fn main() {
     ]);
 
     // --- Algorithm 2 scheduling ------------------------------------------
-    let workloads: [(&str, Circuit, usize); 4] = [
+    // The last workload lowers to ~632k gates, past `DEFAULT_HORIZON`, so
+    // it prices the horizon-bound regime the streaming pipeline runs in.
+    let workloads: [(&str, Circuit, usize); 5] = [
         ("qft24_head8", qft(24), 8),
         ("qft32_head8", qft(32), 8),
         ("rcs16_head4", random_circuit_sampling(4, 4, 16, 7), 4),
         ("qaoa24_head6", qaoa_maxcut(24, 2, 5), 6),
+        (
+            "rcs_stream_8x8x2000_head16",
+            Circuit::from_gates(64, rcs_stream(8, 8, 2_000, 7)),
+            16,
+        ),
     ];
     let mut records: Vec<Json> = Vec::new();
     for (name, circuit, head) in workloads {

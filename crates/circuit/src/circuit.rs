@@ -168,14 +168,14 @@ impl Circuit {
                 barrier_level = level.iter().copied().max().unwrap_or(0).max(barrier_level);
                 continue;
             }
-            let qs = g.qubits();
+            let qs = g.operands();
             let start = qs
                 .iter()
                 .map(|q| level[q.index()])
                 .max()
                 .unwrap_or(0)
                 .max(barrier_level);
-            for q in qs {
+            for q in qs.iter() {
                 level[q.index()] = start + 1;
             }
         }
@@ -205,7 +205,7 @@ impl Circuit {
         let mut pairs = std::collections::HashMap::new();
         for g in &self.gates {
             if g.is_two_qubit() {
-                let qs = g.qubits();
+                let qs = g.operands();
                 let key = (qs[0].min(qs[1]), qs[0].max(qs[1]));
                 *pairs.entry(key).or_insert(0) += 1;
             }

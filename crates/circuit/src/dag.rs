@@ -74,7 +74,7 @@ impl Dag {
             // Gate operands: at most three qubits — collect, sort,
             // dedup in place on the flat tail.
             let start = pred_edges.len();
-            for q in gate.qubits() {
+            for q in gate.operands().iter() {
                 if let Some(p) = last_on[q.index()] {
                     if !pred_edges[start..].contains(&p) {
                         pred_edges.push(p);
@@ -87,7 +87,7 @@ impl Dag {
                     pred_edges.push(b);
                 }
             }
-            for q in gate.qubits() {
+            for q in gate.operands().iter() {
                 last_on[q.index()] = Some(i);
             }
             since_barrier.push(i);

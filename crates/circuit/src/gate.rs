@@ -100,6 +100,10 @@ impl Gate {
     ///
     /// [`Gate::Barrier`] returns an empty vector: it constrains *all* qubits
     /// but owns none.
+    ///
+    /// This allocates a `Vec` per call, so it serves tests, `Display` and
+    /// other cold paths; per-gate code uses the allocation-free
+    /// [`Gate::operands`].
     pub fn qubits(&self) -> Vec<Qubit> {
         use Gate::*;
         match *self {
@@ -199,7 +203,7 @@ impl Gate {
     /// For two-qubit gates, the distance `d_g = |q1 - q2|` between the
     /// operands in ion spacings; `None` otherwise.
     pub fn span(&self) -> Option<usize> {
-        let qs = self.qubits();
+        let qs = self.operands();
         if qs.len() == 2 {
             Some(qs[0].distance(qs[1]))
         } else {

@@ -254,13 +254,15 @@ impl StreamingCompiler {
         for g in self.router.drain_routed() {
             crate::decompose::decompose_gate(&mut self.lowered, &g);
         }
+        let emitted_from = self.ops.len();
+        self.scheduler.reserve(self.lowered.len());
         for g in self.lowered.gates() {
             self.scheduler.push(*g);
+            self.scheduler.run_rounds(&mut self.ops);
         }
         if eof {
             self.scheduler.finish_input();
         }
-        let emitted_from = self.ops.len();
         self.scheduler.run_rounds(&mut self.ops);
         self.t_move += t2.elapsed();
 

@@ -63,7 +63,7 @@ impl TiltProgram {
                     debug_assert!(*to <= spec.n_ions() - spec.head_size());
                 }
                 TiltOp::Gate { gate, head_pos } => {
-                    for q in gate.qubits() {
+                    for q in gate.operands().iter() {
                         debug_assert!(
                             spec.covers(*head_pos, q.index()),
                             "{gate:?} at head {head_pos} leaves {q} uncovered"

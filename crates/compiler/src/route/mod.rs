@@ -80,7 +80,7 @@ pub(crate) fn pending_gates(native: &Circuit) -> Vec<PendingGate> {
         if !g.is_two_qubit() {
             continue;
         }
-        let qs = g.qubits();
+        let qs = g.operands();
         let (a, b) = (qs[0], qs[1]);
         let layer = level[a.index()].max(level[b.index()]).max(barrier_level);
         level[a.index()] = layer + 1;
@@ -268,7 +268,7 @@ pub(crate) fn route_with_policy(
 
     for g in native {
         if g.is_two_qubit() {
-            let qs = g.qubits();
+            let qs = g.operands();
             while mapping.distance(qs[0], qs[1]) >= spec.head_size() {
                 let (pa, pb) = {
                     let state = RouteState {

@@ -116,7 +116,7 @@ impl StreamRouter {
             // monolithic per-barrier max scan.
             self.barrier_level = self.level_peak;
         } else if g.is_two_qubit() {
-            let qs = g.qubits();
+            let qs = g.operands();
             let (a, b) = (qs[0], qs[1]);
             let layer = self.level[a.index()]
                 .max(self.level[b.index()])
@@ -173,7 +173,7 @@ impl StreamRouter {
                 if !self.eof && self.pending.len() < self.cursor + self.ahead {
                     break;
                 }
-                let qs = g.qubits();
+                let qs = g.operands();
                 while self.mapping.distance(qs[0], qs[1]) >= self.spec.head_size() {
                     let state = RouteState {
                         spec: self.spec,

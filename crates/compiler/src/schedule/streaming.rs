@@ -4,8 +4,8 @@
 //! [`super::schedule`] pushes a whole circuit through it; the windowed
 //! `pipeline::streaming` path pushes routed gates as they arrive. It
 //! ingests gates one at a time, keeps the dependency frontier in inline
-//! per-gate edge lists instead of a CSR DAG, and retires a compacted
-//! prefix as gates complete, so its working set is O(horizon) and a
+//! per-gate edge lists instead of a CSR DAG, and reuses the record slots
+//! of completed gates, so its working set is O(horizon) and a
 //! million-gate stream schedules in a fixed-size window.
 //!
 //! # Eligibility horizon
@@ -47,8 +47,9 @@
 //!   cascade: the successor's range intersected with its
 //!   still-incomplete predecessors' ranges. Only those **dirty**
 //!   positions lose their cached count.
-//! * Rescoring walks the cascade on epoch-stamped scratch arrays, seeded
-//!   from per-position ready lists that are compacted lazily.
+//! * Rescoring walks the cascade on epoch-stamped scratch fields of the
+//!   gate records, seeded from ready lists bucketed by the first
+//!   covering position (see *Record layout* below).
 //! * The drain replays the seed's min-index-first cascade through a
 //!   binary heap.
 //!
@@ -79,6 +80,34 @@
 //! side table keyed by the barriers still resident. Only predecessors
 //! still incomplete at push time create edges; the residual `pending`
 //! count is exactly `ReadyTracker::pending_preds`.
+//!
+//! # Record layout
+//!
+//! Every cascade step reads one gate's record and writes its
+//! successors', so everything a walk touches lives in one record: the
+//! gate, its range, its residual in-degree, its edges, a `barrier` flag
+//! (no hot loop matches on [`Gate`]) and the walk's epoch-stamped
+//! scratch counters. The records of the resident gates `[base, total)`
+//! sit in one ring of power-of-two length, indexed by global gate index
+//! masked to the ring. A completed prefix retires by moving `base` up,
+//! with no copying, and the next gates reuse its slots. Callers run
+//! rounds after every push, so at most `H + 1` gates are ever live.
+//!
+//! The gate stays inside its record on purpose: splitting it into a
+//! second array measured no faster and no smaller (see
+//! `crates/compiler/README.md`), and one array keeps one resize path.
+//!
+//! The ready gates sit in one list per *first* covering position `lo`,
+//! plus one list of ready barriers. A non-barrier gate covers at most
+//! `head − 1` positions past its `lo`, so the ready gates covering `p`
+//! are the entries of buckets `lo ∈ [p − (head − 1), p]` with `hi ≥ p`,
+//! plus the ready barriers. A newly ready gate is pushed once instead of
+//! once per covering position, and a seed scan drops the completed
+//! entries it meets.
+//!
+//! Each gate adds to or dirties its whole covering range when it joins
+//! or retires. Those range updates go into difference arrays, and the
+//! argmax folds them in with one prefix sum per round.
 
 use super::SchedulerKind;
 use crate::program::{TiltOp, TiltProgram};
@@ -90,7 +119,13 @@ use tilt_circuit::{Circuit, Gate};
 /// Sentinel for "no gate" in the per-qubit last-writer table.
 const NO_GATE: u32 = u32::MAX;
 
-/// One ingested gate plus its frontier bookkeeping.
+/// Slots in the initial record ring; it doubles whenever the live window
+/// outgrows it.
+const MIN_RING: usize = 1024;
+
+/// One ingested gate plus its frontier bookkeeping and the cascade
+/// walk's scratch counters.
+#[derive(Clone, Copy)]
 struct GateRec {
     gate: Gate,
     /// Contiguous covering-position range (barriers span everything).
@@ -99,12 +134,18 @@ struct GateRec {
     /// Distinct incomplete predecessors remaining (the residual
     /// in-degree `ReadyTracker::pending_preds` would report).
     pending: u32,
-    done: bool,
+    /// Cascade scratch: predecessors the current walk has yet to
+    /// execute, valid while `need_epoch` equals the walk's epoch.
+    need: u32,
+    need_epoch: u32,
+    /// Dirty-marking scratch: the round that last narrowed this gate's
+    /// range, so a successor shared by several retired gates is
+    /// visited once.
+    succ_epoch: u32,
     /// Forward edges of a non-barrier gate: ≤ 2 qubit-successors + the
     /// closing barrier. A barrier's successors live in
     /// [`StreamScheduler::barrier_succs`] instead.
     succs: [u32; 3],
-    n_succs: u8,
     /// Predecessors for the dirty-range narrowing walk. A non-barrier
     /// gate keeps its non-barrier predecessors incomplete at push time
     /// (a barrier predecessor covers every position, so the
@@ -113,12 +154,102 @@ struct GateRec {
     /// contiguous: `preds[0]` holds the span's first index and the span
     /// ends at the barrier itself.
     preds: [u32; 2],
+    n_succs: u8,
     n_preds: u8,
+    done: bool,
+    barrier: bool,
 }
+
+/// Filler for ring slots that hold no resident gate.
+const VACANT: GateRec = GateRec {
+    gate: Gate::Barrier,
+    lo: 0,
+    hi: 0,
+    pending: 0,
+    need: 0,
+    need_epoch: 0,
+    succ_epoch: 0,
+    succs: [0; 3],
+    preds: [0; 2],
+    n_succs: 0,
+    n_preds: 0,
+    done: true,
+    barrier: true,
+};
 
 impl GateRec {
     fn covers(&self, pos: usize) -> bool {
         self.lo as usize <= pos && pos <= self.hi as usize
+    }
+}
+
+/// The eligible gates whose predecessors are all complete, bucketed by
+/// their first covering position. Completed entries are dropped when a
+/// seed scan passes them and when their gates retire.
+struct ReadyLists {
+    /// `by_lo[p]`: ready non-barrier gates whose range starts at `p`, as
+    /// `(index, hi)`, so a scan passes entries that end left of its
+    /// position without loading their records.
+    by_lo: Vec<Vec<(u32, u32)>>,
+    /// Ready barriers; they cover every position.
+    barriers: Vec<u32>,
+    /// The widest non-barrier range minus one: `head − 1`.
+    reach: usize,
+}
+
+impl ReadyLists {
+    fn new(n_positions: usize, head: usize) -> Self {
+        ReadyLists {
+            by_lo: vec![Vec::new(); n_positions],
+            barriers: Vec::new(),
+            reach: head - 1,
+        }
+    }
+
+    fn insert(&mut self, idx: usize, rec: &GateRec) {
+        if rec.barrier {
+            self.barriers.push(idx as u32);
+        } else {
+            debug_assert!((rec.hi - rec.lo) as usize <= self.reach);
+            self.by_lo[rec.lo as usize].push((idx as u32, rec.hi));
+        }
+    }
+
+    /// Calls `f` with every ready, incomplete gate covering `pos`,
+    /// dropping the completed entries it meets on the way. Every entry
+    /// is resident: [`ReadyLists::retire`] drops the others before the
+    /// ring reuses their slots.
+    fn for_each_at(&mut self, pos: usize, recs: &[GateRec], mask: usize, mut f: impl FnMut(usize)) {
+        // Visits an entry known to cover `pos`; keeps it unless done.
+        let mut visit = |g: u32| {
+            let incomplete = !recs[g as usize & mask].done;
+            if incomplete {
+                f(g as usize);
+            }
+            incomplete
+        };
+        for list in &mut self.by_lo[pos.saturating_sub(self.reach)..=pos] {
+            list.retain(|&(g, hi)| (hi as usize) < pos || visit(g));
+        }
+        self.barriers.retain(|&g| visit(g));
+    }
+
+    /// Drops every entry below `base`, the first resident gate.
+    fn retire(&mut self, base: usize) {
+        let resident = |g: u32| g as usize >= base;
+        for list in &mut self.by_lo {
+            list.retain(|&(g, _)| resident(g));
+        }
+        self.barriers.retain(|&g| resident(g));
+    }
+
+    /// Every entry's gate index.
+    #[cfg(test)]
+    fn entries(&self) -> impl Iterator<Item = usize> + '_ {
+        let by_lo = self.by_lo.iter().flatten().map(|&(g, _)| g);
+        by_lo
+            .chain(self.barriers.iter().copied())
+            .map(|g| g as usize)
     }
 }
 
@@ -133,11 +264,16 @@ pub(crate) struct StreamScheduler {
     horizon: usize,
     n_positions: usize,
 
-    /// Global index of `recs[0]`; everything below is retired.
+    /// Every gate below `base` is complete and retired. Gates
+    /// `[base, total)` are resident in `recs`, a ring of `mask + 1` (a
+    /// power of two) slots indexed by global gate index `& mask`. Slots
+    /// are materialized as the stream first reaches them, so a short
+    /// circuit touches only as many as it has gates.
     base: usize,
     recs: Vec<GateRec>,
+    mask: usize,
     /// Successor lists of the resident barriers, keyed by global index;
-    /// compaction retires the entries of retired barriers.
+    /// retirement drops the entries of retired barriers.
     barrier_succs: HashMap<usize, Vec<u32>>,
     /// Gates ingested so far.
     total: usize,
@@ -161,14 +297,17 @@ pub(crate) struct StreamScheduler {
     cover: Vec<u32>,
     counts: Vec<u32>,
     dirty: Vec<bool>,
-    ready_at: Vec<Vec<u32>>,
+    /// Range updates to `cover` and `dirty` since the last argmax, as
+    /// difference arrays (`n_positions + 1` entries): a gate adds or
+    /// dirties its whole range in O(1), and the argmax folds them in
+    /// with one prefix sum.
+    cover_delta: Vec<i32>,
+    dirty_delta: Vec<i32>,
+    ready: ReadyLists,
     candidates: Vec<(i64, u32)>,
 
-    // --- cascade scratch (aligned with `recs`) -----------------------
-    need: Vec<u32>,
-    need_epoch: Vec<u32>,
+    // --- cascade scratch ---------------------------------------------
     epoch: u32,
-    succ_epoch: Vec<u32>,
     succ_epoch_counter: u32,
     stack: Vec<usize>,
     heap: BinaryHeap<Reverse<usize>>,
@@ -186,7 +325,8 @@ impl StreamScheduler {
             horizon: horizon.max(1),
             n_positions,
             base: 0,
-            recs: Vec::new(),
+            recs: Vec::with_capacity(MIN_RING),
+            mask: MIN_RING - 1,
             barrier_succs: HashMap::new(),
             total: 0,
             eof: false,
@@ -199,12 +339,11 @@ impl StreamScheduler {
             cover: vec![0; n_positions],
             counts: vec![0; n_positions],
             dirty: vec![false; n_positions],
-            ready_at: vec![Vec::new(); n_positions],
+            cover_delta: vec![0; n_positions + 1],
+            dirty_delta: vec![0; n_positions + 1],
+            ready: ReadyLists::new(n_positions, spec.head_size()),
             candidates: Vec::new(),
-            need: Vec::new(),
-            need_epoch: Vec::new(),
             epoch: 0,
-            succ_epoch: Vec::new(),
             succ_epoch_counter: 0,
             stack: Vec::new(),
             heap: BinaryHeap::new(),
@@ -214,7 +353,7 @@ impl StreamScheduler {
     }
 
     fn done_at(&self, idx: usize) -> bool {
-        idx < self.base || self.recs[idx - self.base].done
+        idx < self.base || self.recs[idx & self.mask].done
     }
 
     /// Ingests the next gate of the physical stream.
@@ -226,7 +365,6 @@ impl StreamScheduler {
     pub(crate) fn push(&mut self, g: Gate) {
         let idx = self.total;
         assert!(idx < NO_GATE as usize, "gate stream exceeds u32 indexing");
-        self.total += 1;
         if let Some(d) = g.span() {
             assert!(
                 d < self.spec.head_size(),
@@ -234,37 +372,40 @@ impl StreamScheduler {
                 self.spec.head_size()
             );
         }
+        if idx - self.base > self.mask {
+            self.make_room();
+        }
+        self.total += 1;
+        let mask = self.mask;
+        let ops = g.operands();
         let (lo, hi) = match self
             .spec
-            .covering_head_positions(g.operands().iter().map(|q| q.index()))
+            .covering_head_positions(ops.iter().map(|q| q.index()))
         {
             Some(r) => (*r.start() as u32, *r.end() as u32),
             None => (0, (self.n_positions - 1) as u32),
         };
+        let barrier = matches!(g, Gate::Barrier);
         let mut rec = GateRec {
             gate: g,
             lo,
             hi,
-            pending: 0,
             done: false,
-            succs: [0; 3],
-            n_succs: 0,
-            preds: [0; 2],
-            n_preds: 0,
+            barrier,
+            ..VACANT
         };
 
-        if matches!(g, Gate::Barrier) {
+        if barrier {
             // Every incomplete gate of the closing span becomes a
             // predecessor; already-retired span gates need no edge (the
             // residual count never included them).
             let mut pending = 0u32;
             for p in self.span_start.max(self.base)..idx {
-                let slot = p - self.base;
-                if self.recs[slot].done || matches!(self.recs[slot].gate, Gate::Barrier) {
+                let r = &mut self.recs[p & mask];
+                if r.done || r.barrier {
                     continue;
                 }
                 pending += 1;
-                let r = &mut self.recs[slot];
                 debug_assert!((r.n_succs as usize) < 3);
                 r.succs[r.n_succs as usize] = idx as u32;
                 r.n_succs += 1;
@@ -283,7 +424,6 @@ impl StreamScheduler {
             self.span_start = idx + 1;
             self.last_on.fill(NO_GATE);
         } else {
-            let ops = g.operands();
             let mut pred_set = [0u32; 2];
             let mut n_distinct = 0usize;
             for q in ops.iter() {
@@ -309,7 +449,7 @@ impl StreamScheduler {
                     rec.pending += 1;
                     rec.preds[rec.n_preds as usize] = p;
                     rec.n_preds += 1;
-                    let r = &mut self.recs[p as usize - self.base];
+                    let r = &mut self.recs[p as usize & mask];
                     debug_assert!((r.n_succs as usize) < 3);
                     r.succs[r.n_succs as usize] = idx as u32;
                     r.n_succs += 1;
@@ -320,10 +460,69 @@ impl StreamScheduler {
             }
         }
 
-        self.recs.push(rec);
-        self.need.push(0);
-        self.need_epoch.push(0);
-        self.succ_epoch.push(0);
+        // The ring is full length once the stream has wrapped it;
+        // before that, the next slot is exactly its length.
+        let slot = idx & mask;
+        if slot == self.recs.len() {
+            self.recs.push(rec);
+        } else {
+            self.recs[slot] = rec;
+        }
+    }
+
+    /// Frees a ring slot for the next gate: retires the completed
+    /// prefix, and doubles the ring when that leaves less than a quarter
+    /// of it free, so retirement runs at most once per quarter ring of
+    /// pushes.
+    fn make_room(&mut self) {
+        self.retire();
+        let slots = self.mask + 1;
+        if (self.total - self.base) * 4 > slots * 3 {
+            self.resize_ring(slots * 2, 0);
+        }
+    }
+
+    /// Sizes the ring up front for `gates` more pushes, sparing the
+    /// doubling steps on the way. Rounds run after every push, so at
+    /// most `H + 1` gates are ever live.
+    pub(crate) fn reserve(&mut self, gates: usize) {
+        self.retire();
+        let live = self.total - self.base;
+        let want = live
+            .saturating_add(gates)
+            .min(self.horizon.saturating_add(1))
+            .max(live + 1);
+        let slots = want.next_power_of_two();
+        if slots > self.mask + 1 {
+            self.resize_ring(slots, gates);
+        }
+    }
+
+    /// Moves the resident records into a ring of `slots` slots, with
+    /// capacity for `more` pushes before the ring's `Vec` must grow.
+    /// The capacity is not rounded up to `slots`: a circuit shorter than
+    /// the ring never uses the rest, and the oversized block made glibc
+    /// keep more freed heap resident (arch_sweep peak RSS +15%).
+    fn resize_ring(&mut self, slots: usize, more: usize) {
+        debug_assert!(slots.is_power_of_two() && slots >= self.total - self.base);
+        let mut ring = Vec::with_capacity(self.total.saturating_add(more).min(slots));
+        // Materialize the slots up to the stream's reach: every resident
+        // gate's, and the next push's is then the length or below it.
+        ring.resize(self.total.min(slots), VACANT);
+        for idx in self.base..self.total {
+            ring[idx & (slots - 1)] = self.recs[idx & self.mask];
+        }
+        self.recs = ring;
+        self.mask = slots - 1;
+    }
+
+    /// Retires every gate below the floor: their barrier side-table and
+    /// ready-list entries go, and the ring may reuse their slots.
+    fn retire(&mut self) {
+        self.base = self.floor;
+        let base = self.base;
+        self.barrier_succs.retain(|&k, _| k >= base);
+        self.ready.retire(base);
     }
 
     /// Marks the input stream exhausted; subsequent
@@ -339,6 +538,9 @@ impl StreamScheduler {
     /// Runs scheduling rounds while legal — i.e. while the retained
     /// stream reaches the eligibility bound (`total ≥ floor + H`) or
     /// the input is exhausted — appending emitted ops to `ops`.
+    ///
+    /// Callers run it after every push, so the live window, and with it
+    /// the record ring, stays within `H + 1` gates.
     pub(crate) fn run_rounds(&mut self, ops: &mut Vec<TiltOp>) {
         loop {
             while self.floor < self.total && self.done_at(self.floor) {
@@ -351,34 +553,27 @@ impl StreamScheduler {
                 break;
             }
             self.round(ops);
-            self.maybe_compact();
         }
     }
 
     /// Activates gates `[active_end, e)`: they join the cover ceiling,
     /// dirty their ranges (a newly eligible gate can only raise
-    /// scores), and enter the per-position ready lists when already
-    /// unblocked.
+    /// scores), and enter the ready lists when already unblocked.
     fn activate(&mut self, e: usize) {
         for idx in self.active_end..e {
-            let slot = idx - self.base;
-            let rec = &self.recs[slot];
+            let rec = &self.recs[idx & self.mask];
             debug_assert!(!rec.done);
-            let (lo, hi) = (rec.lo as usize, rec.hi as usize);
+            let (lo, end) = (rec.lo as usize, rec.hi as usize + 1);
             if self.penalty.is_some() {
-                if !matches!(rec.gate, Gate::Barrier) {
-                    for p in lo..=hi {
-                        self.cover[p] += 1;
-                    }
+                if !rec.barrier {
+                    self.cover_delta[lo] += 1;
+                    self.cover_delta[end] -= 1;
                 }
-                for p in lo..=hi {
-                    self.dirty[p] = true;
-                }
+                self.dirty_delta[lo] += 1;
+                self.dirty_delta[end] -= 1;
             }
             if rec.pending == 0 {
-                for p in lo..=hi {
-                    self.ready_at[p].push(idx as u32);
-                }
+                self.ready.insert(idx, rec);
             }
         }
         self.active_end = e;
@@ -405,7 +600,7 @@ impl StreamScheduler {
             // gate (all its predecessors are below the floor, hence
             // complete), parked at the leftmost covering position.
             None => {
-                let rec = &self.recs[self.floor - self.base];
+                let rec = &self.recs[self.floor & self.mask];
                 debug_assert_eq!(rec.pending, 0);
                 rec.lo as usize
             }
@@ -420,42 +615,34 @@ impl StreamScheduler {
 
         // Drain the cascade at `pos` in min-index order, with the
         // eligibility bound frozen for the whole round.
+        let mask = self.mask;
         self.heap.clear();
-        {
-            let base = self.base;
-            let recs = &self.recs;
-            self.ready_at[pos].retain(|&g| {
-                let g = g as usize;
-                g >= base && !recs[g - base].done
-            });
-        }
-        self.heap
-            .extend(self.ready_at[pos].iter().map(|&g| Reverse(g as usize)));
+        let heap = &mut self.heap;
+        self.ready
+            .for_each_at(pos, &self.recs, mask, |g| heap.push(Reverse(g)));
         self.executed.clear();
         while let Some(Reverse(i)) = self.heap.pop() {
-            let slot = i - self.base;
+            let slot = i & mask;
             debug_assert!(!self.recs[slot].done && self.recs[slot].pending == 0);
             self.recs[slot].done = true;
             self.n_done += 1;
-            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
-                let srec = &mut self.recs[s - self.base];
+            let mut inline = [0; 3];
+            for &s in succs_of(&self.recs[slot], &self.barrier_succs, i, &mut inline) {
+                let s = s as usize;
+                let srec = &mut self.recs[s & mask];
                 srec.pending -= 1;
                 if srec.pending == 0 && s < e {
-                    let (lo, hi) = (srec.lo as usize, srec.hi as usize);
-                    let covering = srec.covers(pos);
-                    for p in lo..=hi {
-                        self.ready_at[p].push(s as u32);
-                    }
-                    if covering {
+                    self.ready.insert(s, srec);
+                    if srec.covers(pos) {
                         self.heap.push(Reverse(s));
                     }
                 }
             }
             self.executed.push(i);
-            let gate = self.recs[slot].gate;
-            if !matches!(gate, Gate::Barrier) {
+            let rec = &self.recs[slot];
+            if !rec.barrier {
                 ops.push(TiltOp::Gate {
-                    gate,
+                    gate: rec.gate,
                     head_pos: pos,
                 });
             }
@@ -478,35 +665,30 @@ impl StreamScheduler {
     /// barriers — without moving the head or emitting ops; the capped
     /// rescan reference applies the identical rule.
     fn barrier_relief(&mut self, e: usize) {
-        // Barriers cover every position, so the ready list at position
-        // 0 holds exactly the eligible ready barriers here.
+        let mask = self.mask;
         self.heap.clear();
         {
-            let base = self.base;
             let recs = &self.recs;
-            self.ready_at[0].retain(|&g| {
-                let g = g as usize;
-                g >= base && !recs[g - base].done
-            });
+            self.ready
+                .barriers
+                .retain(|&g| !recs[g as usize & mask].done);
         }
         self.heap
-            .extend(self.ready_at[0].iter().map(|&g| Reverse(g as usize)));
+            .extend(self.ready.barriers.iter().map(|&g| Reverse(g as usize)));
         self.executed.clear();
         while let Some(Reverse(i)) = self.heap.pop() {
-            let slot = i - self.base;
-            debug_assert!(matches!(self.recs[slot].gate, Gate::Barrier));
+            let slot = i & mask;
+            debug_assert!(self.recs[slot].barrier);
             self.recs[slot].done = true;
             self.n_done += 1;
-            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
-                let srec = &mut self.recs[s - self.base];
+            let mut inline = [0; 3];
+            for &s in succs_of(&self.recs[slot], &self.barrier_succs, i, &mut inline) {
+                let s = s as usize;
+                let srec = &mut self.recs[s & mask];
                 srec.pending -= 1;
                 if srec.pending == 0 && s < e {
-                    let (lo, hi) = (srec.lo as usize, srec.hi as usize);
-                    let barrier = matches!(srec.gate, Gate::Barrier);
-                    for p in lo..=hi {
-                        self.ready_at[p].push(s as u32);
-                    }
-                    if barrier {
+                    self.ready.insert(s, srec);
+                    if srec.barrier {
                         self.heap.push(Reverse(s));
                     }
                 }
@@ -524,33 +706,35 @@ impl StreamScheduler {
         // Dirty marking: every retired gate's range (with the cover
         // ceiling decrement), plus each still-eligible successor's
         // range intersected with its incomplete predecessors' ranges.
+        let mask = self.mask;
         self.succ_epoch_counter += 1;
+        let round = self.succ_epoch_counter;
         let executed = std::mem::take(&mut self.executed);
         for &i in &executed {
-            let slot = i - self.base;
-            let (lo, hi) = (self.recs[slot].lo as usize, self.recs[slot].hi as usize);
-            if !matches!(self.recs[slot].gate, Gate::Barrier) {
-                for p in lo..=hi {
-                    self.cover[p] -= 1;
-                }
+            let rec = &self.recs[i & mask];
+            let (lo, end) = (rec.lo as usize, rec.hi as usize + 1);
+            if !rec.barrier {
+                self.cover_delta[lo] -= 1;
+                self.cover_delta[end] += 1;
             }
-            for p in lo..=hi {
-                self.dirty[p] = true;
-            }
-            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
+            self.dirty_delta[lo] += 1;
+            self.dirty_delta[end] -= 1;
+            let mut inline = [0; 3];
+            for &s in succs_of(rec, &self.barrier_succs, i, &mut inline) {
+                let s = s as usize;
                 if s >= e {
                     // Not yet eligible: activation will dirty its full
                     // range when it joins.
                     continue;
                 }
-                let sslot = s - self.base;
-                if self.succ_epoch[sslot] == self.succ_epoch_counter {
+                let srec = &mut self.recs[s & mask];
+                if srec.succ_epoch == round {
                     continue;
                 }
-                self.succ_epoch[sslot] = self.succ_epoch_counter;
-                let srec = &self.recs[sslot];
+                srec.succ_epoch = round;
+                let srec = &self.recs[s & mask];
                 let (mut slo, mut shi) = (srec.lo, srec.hi);
-                let (span, inline) = if matches!(srec.gate, Gate::Barrier) {
+                let (span, inline) = if srec.barrier {
                     (srec.preds[0] as usize..s, &[][..])
                 } else {
                     (0..0, &srec.preds[..srec.n_preds as usize])
@@ -559,7 +743,7 @@ impl StreamScheduler {
                     if self.done_at(q) {
                         continue;
                     }
-                    let qrec = &self.recs[q - self.base];
+                    let qrec = &self.recs[q & mask];
                     slo = slo.max(qrec.lo);
                     shi = shi.min(qrec.hi);
                     if slo > shi {
@@ -572,22 +756,31 @@ impl StreamScheduler {
                     // it this round.
                     continue;
                 }
-                for p in slo as usize..=shi as usize {
-                    self.dirty[p] = true;
-                }
+                self.dirty_delta[slo as usize] += 1;
+                self.dirty_delta[shi as usize + 1] -= 1;
             }
         }
         self.executed = executed;
     }
 
-    /// The pruned argmax of [`super::incremental`], restricted to the
-    /// active window: clean positions establish the incumbent from
-    /// cached counts, dirty candidates are walked in descending ceiling
-    /// order and rescored exactly while their bound could still win.
+    /// The bound-pruned argmax, restricted to the active window: clean
+    /// positions establish the incumbent from cached counts, dirty
+    /// candidates are walked in descending ceiling order and rescored
+    /// exactly while their bound could still win.
     fn best_position(&mut self, penalty: i64, e: usize) -> Option<usize> {
         let mut best: Option<(i64, usize, usize)> = None;
         self.candidates.clear();
+        // Fold the pending range updates in with one running sum each.
+        let (mut cover_run, mut dirty_run) = (0i32, 0i32);
         for pos in 0..self.n_positions {
+            cover_run += std::mem::take(&mut self.cover_delta[pos]);
+            dirty_run += std::mem::take(&mut self.dirty_delta[pos]);
+            self.cover[pos] = self.cover[pos]
+                .checked_add_signed(cover_run)
+                .expect("cover ceiling stays non-negative");
+            if dirty_run > 0 {
+                self.dirty[pos] = true;
+            }
             let dist = self.head.map_or(0, |h| h.abs_diff(pos));
             if self.dirty[pos] {
                 let bound = self.cover[pos] as i64 * 1000 - penalty * dist as i64;
@@ -603,6 +796,9 @@ impl StreamScheduler {
                 }
             }
         }
+        // Only ranges ending at the last position touch the sentinel.
+        self.cover_delta[self.n_positions] = 0;
+        self.dirty_delta[self.n_positions] = 0;
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.sort_unstable_by(|a, b| b.cmp(a));
         for &(bound, p) in &candidates {
@@ -636,94 +832,69 @@ impl StreamScheduler {
     /// ready gates covered by `pos` execute, unlocking covered active
     /// successors transitively; barriers cascade but do not count.
     fn cascade_count(&mut self, pos: usize, e: usize) -> u32 {
-        {
-            let base = self.base;
-            let recs = &self.recs;
-            self.ready_at[pos].retain(|&g| {
-                let g = g as usize;
-                g >= base && !recs[g - base].done
-            });
-        }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.need_epoch.fill(u32::MAX);
+            // Epoch 0 is never current, so resetting every stamp to it
+            // invalidates them all.
+            for rec in &mut self.recs {
+                rec.need_epoch = 0;
+            }
             self.epoch = 1;
         }
-        let epoch = self.epoch;
+        let (epoch, mask) = (self.epoch, self.mask);
         self.stack.clear();
-        self.stack
-            .extend(self.ready_at[pos].iter().map(|&g| g as usize));
+        let stack = &mut self.stack;
+        self.ready
+            .for_each_at(pos, &self.recs, mask, |g| stack.push(g));
 
         let mut count = 0u32;
         while let Some(i) = self.stack.pop() {
-            let slot = i - self.base;
-            if !matches!(self.recs[slot].gate, Gate::Barrier) {
+            let rec = &self.recs[i & mask];
+            if !rec.barrier {
                 count += 1;
             }
-            for s in succs_of(&self.recs[slot], &self.barrier_succs, i) {
+            let mut inline = [0; 3];
+            for &s in succs_of(rec, &self.barrier_succs, i, &mut inline) {
+                let s = s as usize;
                 if s >= e {
                     continue;
                 }
-                let sslot = s - self.base;
-                if self.need_epoch[sslot] != epoch {
-                    self.need_epoch[sslot] = epoch;
-                    self.need[sslot] = self.recs[sslot].pending;
+                let srec = &mut self.recs[s & mask];
+                if srec.need_epoch != epoch {
+                    srec.need_epoch = epoch;
+                    srec.need = srec.pending;
                 }
-                self.need[sslot] -= 1;
-                if self.need[sslot] == 0 && self.recs[sslot].covers(pos) {
+                srec.need -= 1;
+                if srec.need == 0 && srec.covers(pos) {
                     self.stack.push(s);
                 }
             }
         }
         count
     }
-
-    /// Retires the completed prefix once it dominates the live window,
-    /// keeping the resident state at O(horizon + ingest slack).
-    fn maybe_compact(&mut self) {
-        let retired = self.floor - self.base;
-        if retired < 1024 || retired * 2 < self.recs.len() {
-            return;
-        }
-        self.recs.drain(..retired);
-        self.need.drain(..retired);
-        self.need_epoch.drain(..retired);
-        self.succ_epoch.drain(..retired);
-        self.base = self.floor;
-        let base = self.base;
-        self.barrier_succs.retain(|&k, _| k >= base);
-        for list in &mut self.ready_at {
-            let recs = &self.recs;
-            list.retain(|&g| {
-                let g = g as usize;
-                g >= base && !recs[g - base].done
-            });
-        }
-    }
 }
 
-/// The successors of the gate at global index `i`: inline for a
-/// non-barrier gate, one side-table lookup for a barrier.
+/// The successors of the gate at global index `i`: a non-barrier gate's
+/// inline edges, copied into `inline` so the caller may update records
+/// while it walks them, or a barrier's side-table list.
 fn succs_of<'a>(
     rec: &GateRec,
     barrier_succs: &'a HashMap<usize, Vec<u32>>,
     i: usize,
-) -> impl Iterator<Item = usize> + 'a {
-    let spilled: &'a [u32] = if matches!(rec.gate, Gate::Barrier) {
+    inline: &'a mut [u32; 3],
+) -> &'a [u32] {
+    if rec.barrier {
+        debug_assert_eq!(rec.n_succs, 0);
         barrier_succs.get(&i).map_or(&[], Vec::as_slice)
     } else {
-        &[]
-    };
-    rec.succs
-        .into_iter()
-        .take(rec.n_succs as usize)
-        .chain(spilled.iter().copied())
-        .map(|s| s as usize)
+        *inline = rec.succs;
+        &inline[..rec.n_succs as usize]
+    }
 }
 
 /// Schedules an in-memory circuit on a [`StreamScheduler`] with the
-/// given horizon. Gates go in one horizon-sized chunk at a time, so the
-/// resident window stays O(horizon) however long the circuit is.
+/// given horizon. Rounds run after every push, so the resident window
+/// stays within the horizon however long the circuit is.
 pub(super) fn schedule_circuit(
     physical: &Circuit,
     spec: DeviceSpec,
@@ -731,11 +902,10 @@ pub(super) fn schedule_circuit(
     horizon: usize,
 ) -> TiltProgram {
     let mut s = StreamScheduler::new(spec, kind, horizon);
+    s.reserve(physical.len());
     let mut ops: Vec<TiltOp> = Vec::with_capacity(physical.len());
-    for chunk in physical.gates().chunks(s.horizon) {
-        for &g in chunk {
-            s.push(g);
-        }
+    for &g in physical.gates() {
+        s.push(g);
         s.run_rounds(&mut ops);
     }
     s.finish_input();
@@ -848,11 +1018,36 @@ mod tests {
     }
 
     /// Streams `len` gates cycling over one 8-ion tape, with a barrier
-    /// every `barrier_every` gates (0 for none), and checks that the
-    /// resident state tracks the horizon rather than the stream.
+    /// every `barrier_every` gates (0 for none), and checks throughout
+    /// that the resident state tracks the horizon rather than the
+    /// stream: the record ring, the barrier side table and the ready
+    /// lists hold resident gates only, and O(horizon) of them.
     fn assert_bounded_stream(len: usize, barrier_every: usize) {
         let sp = spec(8, 4);
         let horizon = 64;
+        let bound = 8 * horizon + 2048;
+        let check = |s: &StreamScheduler, at: usize| {
+            assert!(s.mask < bound, "ring grew to {} slots at {at}", s.mask + 1);
+            // Retirement must drop retired barriers' side-table entries
+            // and every retired or completed ready-list entry.
+            assert!(
+                s.barrier_succs.keys().all(|&b| b >= s.base),
+                "barrier side table kept retired barriers at {at}"
+            );
+            if let Some(resident_barriers) = bound.checked_div(barrier_every) {
+                assert!(
+                    s.barrier_succs.len() <= resident_barriers + 1,
+                    "barrier side table grew to {} at {at}",
+                    s.barrier_succs.len()
+                );
+            }
+            assert!(
+                s.ready.entries().all(|g| g >= s.base),
+                "ready lists kept retired gates at {at}"
+            );
+            let entries = s.ready.entries().count();
+            assert!(entries <= bound, "ready lists grew to {entries} at {at}");
+        };
         let mut s = StreamScheduler::new(sp, SchedulerKind::GreedyMaxExecutable, horizon);
         let mut ops = Vec::new();
         let mut barriers = 0usize;
@@ -864,26 +1059,11 @@ mod tests {
                 s.push(Gate::Xx(Qubit(i % 7), Qubit(i % 7 + 1), 0.1));
             }
             s.run_rounds(&mut ops);
+            if i % 997 == 0 {
+                check(&s, i);
+            }
         }
-        let bound = 8 * horizon + 2048;
-        assert!(
-            s.recs.len() < bound,
-            "resident window grew to {}",
-            s.recs.len()
-        );
-        // The barrier side table holds entries for resident barriers
-        // only: compaction must retire the rest.
-        assert!(
-            s.barrier_succs.keys().all(|&b| b >= s.base),
-            "barrier side table kept retired barriers"
-        );
-        if let Some(resident_barriers) = bound.checked_div(barrier_every) {
-            assert!(
-                s.barrier_succs.len() <= resident_barriers + 1,
-                "barrier side table grew to {}",
-                s.barrier_succs.len()
-            );
-        }
+        check(&s, len);
         s.finish_input();
         s.run_rounds(&mut ops);
         assert!(s.is_done());

@@ -153,7 +153,7 @@ fn head_span_op(
                     format!("{gate} recorded at head {head_pos}, past the last valid {max_head}"),
                 ));
             }
-            for q in gate.qubits() {
+            for q in gate.operands().iter() {
                 if q.index() >= spec.n_ions() || !spec.covers(*head_pos, q.index()) {
                     diags.push(Diagnostic::error(
                         "tilt/head-span",
@@ -291,7 +291,7 @@ fn schedule_order(out: &CompileOutput, diags: &mut Vec<Diagnostic>) {
     let lowered = decompose(&out.routed.circuit);
     let mut expected: Vec<Vec<Gate>> = vec![Vec::new(); n];
     for g in &lowered {
-        for q in g.qubits() {
+        for q in g.operands().iter() {
             if q.index() < n {
                 expected[q.index()].push(*g);
             }
@@ -306,7 +306,7 @@ fn schedule_order(out: &CompileOutput, diags: &mut Vec<Diagnostic>) {
         let TiltOp::Gate { gate, .. } = op else {
             continue;
         };
-        for q in gate.qubits() {
+        for q in gate.operands().iter() {
             let qi = q.index();
             if qi >= n || desynced[qi] {
                 continue;
@@ -397,7 +397,7 @@ mod tests {
             .position(|op| matches!(op, TiltOp::Gate { gate, .. } if gate.is_two_qubit()))
             .unwrap();
         if let TiltOp::Gate { gate, head_pos } = &mut ops[idx] {
-            let hi = gate.qubits().iter().map(|q| q.index()).max().unwrap();
+            let hi = gate.operands().iter().map(|q| q.index()).max().unwrap();
             *head_pos = if hi >= spec.head_size() {
                 0
             } else {
@@ -504,7 +504,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter_map(|(i, op)| match op {
-                TiltOp::Gate { gate, .. } if !gate.qubits().is_empty() => Some(i),
+                TiltOp::Gate { gate, .. } if !gate.operands().is_empty() => Some(i),
                 _ => None,
             })
             .collect();
@@ -518,7 +518,7 @@ mod tests {
                 else {
                     continue;
                 };
-                let shared = gi.qubits().iter().any(|q| gj.qubits().contains(q));
+                let shared = gi.operands().iter().any(|q| gj.operands().contains(q));
                 if shared && gi != gj {
                     (a, b) = (i, j);
                     break 'outer;

@@ -180,7 +180,7 @@ pub fn compile_qccd(circuit: &Circuit, spec: &QccdSpec) -> Result<QccdProgram, Q
                 array.ops.push(QccdOp::Measure { trap });
             }
             g if g.is_two_qubit() => {
-                let qs = g.qubits();
+                let qs = g.operands();
                 let (a, b) = (qs[0].index(), qs[1].index());
                 let (ta, _) = array.loc[a];
                 let (tb, _) = array.loc[b];
@@ -202,7 +202,7 @@ pub fn compile_qccd(circuit: &Circuit, spec: &QccdSpec) -> Result<QccdProgram, Q
                 });
             }
             g if g.arity() == 1 => {
-                let (trap, _) = array.loc[g.qubits()[0].index()];
+                let (trap, _) = array.loc[g.operands()[0].index()];
                 array.ops.push(QccdOp::SingleQubitGate { trap });
             }
             other => panic!("QCCD router requires two-qubit granularity, got {other:?}"),

@@ -86,7 +86,7 @@ pub fn compile_scaled(circuit: &Circuit, spec: &ScaleSpec) -> Result<ScaledProgr
                 }
             }
             g if g.is_two_qubit() => {
-                let qs = g.qubits();
+                let qs = g.operands();
                 let (a, b) = (qs[0].index(), qs[1].index());
                 let (ea, eb) = (partition.elu_of(a), partition.elu_of(b));
                 let (la, lb) = (Qubit(partition.local_of(a)), Qubit(partition.local_of(b)));
@@ -112,7 +112,7 @@ pub fn compile_scaled(circuit: &Circuit, spec: &ScaleSpec) -> Result<ScaledProgr
                 }
             }
             g => {
-                let q = match g.qubits().first() {
+                let q = match g.operands().first() {
                     Some(q) => q.index(),
                     None => continue,
                 };

@@ -270,7 +270,7 @@ impl ScaledStreamingCompiler {
                 self.buffered += self.shards.len();
             }
             g if g.is_two_qubit() => {
-                let qs = g.qubits();
+                let qs = g.operands();
                 let (a, b) = (qs[0].index(), qs[1].index());
                 let (ea, eb) = (self.partition.elu_of(a), self.partition.elu_of(b));
                 let (la, lb) = (
@@ -306,7 +306,7 @@ impl ScaledStreamingCompiler {
                 }
             }
             g => {
-                let q = match g.qubits().first() {
+                let q = match g.operands().first() {
                     Some(q) => q.index(),
                     None => return,
                 };

@@ -30,7 +30,7 @@ pub fn verify_scaled(program: &ScaledProgram) -> Vec<Diagnostic> {
     for (e, out) in program.elu_outputs.iter().enumerate() {
         // Every scheduled operand must fit the ELU tape.
         for (i, (g, _)) in out.program.gates().enumerate() {
-            for q in g.qubits() {
+            for q in g.operands().iter() {
                 if q.index() >= ions_per_elu {
                     diags.push(Diagnostic::error(
                         "scaled/comm-slot-budget",
@@ -66,7 +66,7 @@ pub fn verify_scaled(program: &ScaledProgram) -> Vec<Diagnostic> {
                 }
                 Gate::Barrier => {}
                 g => {
-                    for q in g.qubits() {
+                    for q in g.operands().iter() {
                         if q.index() < ions_per_elu && measured[q.index()] {
                             diags.push(Diagnostic::error(
                                 "scaled/measured-unreset",
@@ -176,7 +176,7 @@ impl StreamScaledVerifier {
             };
             let i = self.next_gate_index[elu];
             self.next_gate_index[elu] += 1;
-            for q in g.qubits() {
+            for q in g.operands().iter() {
                 if q.index() >= ions_per_elu {
                     self.diags.push(Diagnostic::error(
                         "scaled/comm-slot-budget",

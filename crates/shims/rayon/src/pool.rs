@@ -486,8 +486,13 @@ mod tests {
                 if WORKER.with(std::cell::Cell::get).is_some() {
                     on_worker.fetch_add(1, Ordering::Relaxed);
                 }
-                // Leaf work large enough that thieves get a chance.
-                std::hint::black_box((0..2_000u64).sum::<u64>());
+                // Leaf work long enough that thieves get a chance. It is
+                // a timed spin, so it lasts as long in a release build as
+                // in a debug one; a plain sum would fold to a constant.
+                let until = std::time::Instant::now() + Duration::from_micros(20);
+                while std::time::Instant::now() < until {
+                    std::hint::spin_loop();
+                }
                 return;
             }
             pool.join(

@@ -80,9 +80,9 @@ pub fn execution_time_us(
                 if matches!(gate, Gate::Barrier) {
                     continue;
                 }
-                let qs = gate.qubits();
+                let qs = gate.operands();
                 let layer = qs.iter().map(|q| level[q.index()]).max().unwrap_or(0);
-                for q in &qs {
+                for q in qs.iter() {
                     level[q.index()] = layer + 1;
                 }
                 if layer_max.len() <= layer {

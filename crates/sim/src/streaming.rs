@@ -174,9 +174,9 @@ impl ExecTimeAccumulator {
                 if matches!(gate, Gate::Barrier) {
                     return;
                 }
-                let qs = gate.qubits();
+                let qs = gate.operands();
                 let layer = qs.iter().map(|q| self.level[q.index()]).max().unwrap_or(0);
-                for q in &qs {
+                for q in qs.iter() {
                     self.level[q.index()] = layer + 1;
                 }
                 if self.layer_max.len() <= layer {

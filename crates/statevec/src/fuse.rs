@@ -453,7 +453,7 @@ pub fn fuse(circuit: &Circuit) -> Vec<FusedOp> {
             continue;
         }
         // Toffoli / Measure: flush operands and pass through.
-        for q in gate.qubits() {
+        for q in gate.operands().iter() {
             col.flush_qubit(q.index());
         }
         col.out.push(FusedOp::Passthrough(*gate));
