@@ -1,15 +1,28 @@
 //! Criterion timing of the three LinQ passes (the `t_swap`/`t_move`
-//! columns of Table III, measured robustly).
+//! columns of Table III, measured robustly), plus the QASM front end
+//! that feeds them.
 //!
 //! Run with: `cargo bench -p bench --bench compiler_passes`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tilt_benchmarks::{bv::bv64, qft::qft64, sqrt::sqrt78};
+use tilt_benchmarks::{bv::bv64, paper_suite, qft::qft64, sqrt::sqrt78};
+use tilt_circuit::qasm::{parse_qasm, to_qasm};
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
 use tilt_compiler::schedule::{schedule, SchedulerKind};
 use tilt_compiler::{DeviceSpec, RouterKind};
+
+fn bench_qasm_parse(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qasm_parse");
+    for bench in paper_suite() {
+        let text = to_qasm(&bench.circuit);
+        group.bench_function(bench.name, |b| {
+            b.iter(|| parse_qasm(black_box(&text)).unwrap());
+        });
+    }
+    group.finish();
+}
 
 fn bench_decompose(c: &mut Criterion) {
     let mut group = c.benchmark_group("decompose");
@@ -71,6 +84,7 @@ fn bench_tape_scheduling(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_qasm_parse,
     bench_decompose,
     bench_swap_insertion,
     bench_tape_scheduling

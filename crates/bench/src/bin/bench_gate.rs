@@ -68,7 +68,7 @@ const GATING: [(&str, &str); 3] = [
 
 /// Cross-run absolute throughput, plus the engine batch ratio (which
 /// can hinge on runner core count): advisory only.
-const ADVISORY: [(&str, &str); 18] = [
+const ADVISORY: [(&str, &str); 20] = [
     ("BENCH_statevec.json", "optimized_gates_per_sec"),
     ("BENCH_statevec.json", "simd.simd_gates_per_sec"),
     ("BENCH_statevec.json", "permutation.parallel_gates_per_sec"),
@@ -98,6 +98,9 @@ const ADVISORY: [(&str, &str); 18] = [
     ("BENCH_compiler.json", "streaming.streaming_gates_per_sec"),
     ("BENCH_compiler.json", "streaming.throughput_ratio"),
     ("BENCH_compiler.json", "streaming.peak_memory_ratio"),
+    // QASM front-end throughput (bytes/sec): absolute, so advisory.
+    ("BENCH_compiler.json", "qasm_parse.bytes_per_sec"),
+    ("BENCH_compiler.json", "qasm_parse.stream_bytes_per_sec"),
 ];
 
 /// One run's records, keyed by file name.

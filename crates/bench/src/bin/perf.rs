@@ -43,6 +43,9 @@
 //!   monolithic `run` on the same (materialized) circuit, plus the
 //!   per-path peak-RSS ratio read from `VmHWM` with a `clear_refs`
 //!   reset in between. Runs first so the allocator baseline is clean.
+//!   Its `qasm_parse` record prices the QASM front end in bytes/sec:
+//!   `parse_qasm` over the six Table II circuits' emitted QASM, and
+//!   `QasmStream` over a ~184k-gate RCS program.
 //!
 //! Every record also carries `peak_rss_kb` (the process `VmHWM` at the
 //! moment the record is written) and `threads`, so cross-run artifact
@@ -53,11 +56,13 @@
 use std::time::Instant;
 
 use tilt_benchmarks::bv::bernstein_vazirani;
+use tilt_benchmarks::paper_suite;
 use tilt_benchmarks::qaoa::qaoa_maxcut;
 use tilt_benchmarks::qec::repetition_code;
 use tilt_benchmarks::qft::qft;
 use tilt_benchmarks::rcs::random_circuit_sampling;
 use tilt_benchmarks::stream::rcs_stream;
+use tilt_circuit::qasm::{parse_qasm, to_qasm, write_qasm_stream, QasmStream};
 use tilt_circuit::{Circuit, Qubit};
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
@@ -125,6 +130,43 @@ fn main() {
     drop(big_mono);
     drop(big_circuit);
 
+    // --- QASM front end: bytes/sec through both parsers -----------------
+    let table2: Vec<String> = paper_suite().iter().map(|b| to_qasm(&b.circuit)).collect();
+    let table2_bytes: usize = table2.iter().map(String::len).sum();
+    let t_parse = time_median(15, || {
+        for text in &table2 {
+            std::hint::black_box(parse_qasm(text).expect("Table II QASM parses"));
+        }
+    });
+    let mut rcs_qasm = Vec::new();
+    write_qasm_stream(64, rcs_stream(rows, cols, 2_000, seed), &mut rcs_qasm)
+        .expect("write RCS QASM");
+    let t_stream_parse = time_median(5, || {
+        let gates = QasmStream::new(&rcs_qasm[..]).map(|g| g.expect("RCS QASM streams"));
+        std::hint::black_box(gates.count());
+    });
+    let qasm_record = Json::object()
+        .set("table2_bytes", table2_bytes)
+        .set("secs", t_parse)
+        .set("bytes_per_sec", table2_bytes as f64 / t_parse)
+        .set("stream_bytes", rcs_qasm.len())
+        .set("stream_secs", t_stream_parse)
+        .set(
+            "stream_bytes_per_sec",
+            rcs_qasm.len() as f64 / t_stream_parse,
+        );
+    table.row([
+        "QASM parse Table II / RCS stream".to_string(),
+        "-".to_string(),
+        format!(
+            "{:.1} / {:.1} MB/s",
+            table2_bytes as f64 / t_parse / 1e6,
+            rcs_qasm.len() as f64 / t_stream_parse / 1e6
+        ),
+        "-".to_string(),
+    ]);
+    drop(rcs_qasm);
+
     let compiler_record = Json::object()
         .set("benchmark", "rcs8x8_million_head16")
         .set("n_qubits", 64usize)
@@ -148,6 +190,7 @@ fn main() {
                 .set("monolithic_peak_rss_kb", mono_peak_kb)
                 .set("peak_memory_ratio", mono_peak_kb / stream_peak_kb),
         )
+        .set("qasm_parse", qasm_record)
         .set("peak_rss_kb", peak_rss_kb());
     std::fs::write("BENCH_compiler.json", compiler_record.render())
         .expect("write BENCH_compiler.json");

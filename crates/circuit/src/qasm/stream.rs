@@ -3,12 +3,19 @@
 //! [`QasmStream`] yields gates one statement at a time from any
 //! [`BufRead`] source instead of materializing the whole program as a
 //! [`Circuit`](crate::Circuit) — the front end of the bounded-memory
-//! streaming compile pipeline. It reuses [`parse_qasm`]'s statement
-//! parser verbatim, so every accepted program parses to exactly the gate
-//! sequence the monolithic parser produces, with one restriction: the
-//! `qreg` declaration must precede the first gate (the monolithic parser
-//! tolerates a trailing `qreg` because it buffers everything; a stream
-//! cannot size its register after the fact).
+//! streaming compile pipeline. It drives the same statement parser as
+//! [`parse_qasm`](super::parse_qasm), so every accepted program parses
+//! to exactly the gate sequence the monolithic parser produces, with one
+//! restriction: the `qreg` declaration must precede the first gate (the
+//! monolithic parser tolerates a trailing `qreg` because it buffers
+//! everything; a stream cannot size its register after the fact).
+//!
+//! Memory is one line buffer: each line is read with `read_until` into
+//! the same allocation and checked as UTF-8 in place, and its statements
+//! are parsed straight into the gates the iterator yields (a
+//! whole-register `measure` is yielded from a pending qubit range). The
+//! stream reads bytes, so a line whose text outside its `//` comment is
+//! not UTF-8 fails as [`QasmStreamError::Parse`] at that line.
 //!
 //! ```
 //! use tilt_circuit::qasm::QasmStream;
@@ -21,18 +28,20 @@
 //! # Ok::<(), tilt_circuit::qasm::QasmStreamError>(())
 //! ```
 
-use super::parse::{parse_statement, ParseQasmError};
+use super::parse::{code_len, ParseQasmError, Parser, Stmt};
 use crate::gate::Gate;
-use std::collections::VecDeque;
+use crate::qubit::Qubit;
 use std::error::Error;
 use std::fmt;
 use std::io::BufRead;
+use std::ops::Range;
 
 /// Why pulling the next gate off a QASM stream failed.
 #[derive(Debug)]
 pub enum QasmStreamError {
     /// The statement failed to parse (same errors as [`parse_qasm`],
-    /// same line numbers).
+    /// same line numbers), or its line holds non-UTF-8 bytes outside a
+    /// comment.
     ///
     /// [`parse_qasm`]: super::parse_qasm
     Parse(ParseQasmError),
@@ -73,19 +82,18 @@ impl From<std::io::Error> for QasmStreamError {
 /// An iterator of gates lexed incrementally from an OpenQASM source.
 ///
 /// Yields `Result<Gate, QasmStreamError>`; after the first error the
-/// stream is exhausted. Memory use is one source line plus one
-/// statement's gate expansion, independent of program length.
+/// stream is exhausted. Memory use is one reused source-line buffer,
+/// independent of program length.
 pub struct QasmStream<R> {
     reader: R,
+    parser: Parser,
     lineno: usize,
-    n_qubits: Option<usize>,
-    in_gate_def: bool,
+    /// The current source line, parsed up to `pos` (a comment that is
+    /// not UTF-8 is cut off).
     line: String,
-    /// Gates from the current statement not yet yielded (a
-    /// whole-register `measure` expands to one gate per qubit).
-    pending: VecDeque<Gate>,
-    /// Scratch for [`parse_statement`]'s output.
-    scratch: Vec<Gate>,
+    pos: usize,
+    /// Qubits of a whole-register `measure` not yet yielded.
+    measures: Range<usize>,
     done: bool,
 }
 
@@ -94,12 +102,11 @@ impl<R: BufRead> QasmStream<R> {
     pub fn new(reader: R) -> Self {
         QasmStream {
             reader,
+            parser: Parser::default(),
             lineno: 0,
-            n_qubits: None,
-            in_gate_def: false,
             line: String::new(),
-            pending: VecDeque::new(),
-            scratch: Vec::new(),
+            pos: 0,
+            measures: 0..0,
             done: false,
         }
     }
@@ -107,7 +114,7 @@ impl<R: BufRead> QasmStream<R> {
     /// The register width, once the `qreg` declaration has been read
     /// (always before the first yielded gate).
     pub fn n_qubits(&self) -> Option<usize> {
-        self.n_qubits
+        self.parser.n_qubits
     }
 
     /// Reads ahead until the register width is known, without consuming
@@ -118,10 +125,12 @@ impl<R: BufRead> QasmStream<R> {
     /// Fails if a gate precedes the `qreg` declaration, the program ends
     /// without one, or reading fails.
     pub fn require_n_qubits(&mut self) -> Result<usize, QasmStreamError> {
-        while self.n_qubits.is_none() && self.pending.is_empty() && !self.done {
-            self.advance()?;
+        while self.parser.n_qubits.is_none() && !self.done {
+            // Yields no gate: one before the `qreg` is an error, and
+            // the loop ends at the `qreg` statement itself.
+            self.step()?;
         }
-        self.n_qubits.ok_or_else(|| {
+        self.parser.n_qubits.ok_or_else(|| {
             QasmStreamError::Parse(ParseQasmError {
                 line: self.lineno.max(1),
                 message: "no qreg declaration found".into(),
@@ -129,50 +138,52 @@ impl<R: BufRead> QasmStream<R> {
         })
     }
 
-    /// Reads and parses the next source line into `pending`.
-    fn advance(&mut self) -> Result<(), QasmStreamError> {
-        self.line.clear();
-        if self.reader.read_line(&mut self.line)? == 0 {
+    /// Parses the next statement of the current line, or reads the next
+    /// line once this one is spent. `Ok(None)` when no gate is ready (a
+    /// whole-register `measure` leaves its gates in `measures`).
+    fn step(&mut self) -> Result<Option<Gate>, QasmStreamError> {
+        if self.pos >= self.line.len() {
+            self.read_line()?;
+            return Ok(None);
+        }
+        match self.parser.next_statement(&self.line, &mut self.pos)? {
+            None | Some(Stmt::Nothing) => Ok(None),
+            Some(_) if self.parser.n_qubits.is_none() => Err(ParseQasmError {
+                line: self.lineno,
+                message: "streaming requires the qreg declaration before the first gate".into(),
+            }
+            .into()),
+            Some(Stmt::Gate(g)) => Ok(Some(g)),
+            Some(Stmt::MeasureAll(n)) => {
+                self.measures = 0..n;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Reads the next source line into the reused buffer.
+    fn read_line(&mut self) -> Result<(), QasmStreamError> {
+        let mut buf = std::mem::take(&mut self.line).into_bytes();
+        buf.clear();
+        self.pos = 0;
+        if self.reader.read_until(b'\n', &mut buf)? == 0 {
             self.done = true;
             return Ok(());
         }
         self.lineno += 1;
-
-        // Mirror `parse_qasm`'s per-line handling exactly: strip line
-        // comments, skip custom gate-definition bodies, split on `;`.
-        let line = match self.line.find("//") {
-            Some(i) => &self.line[..i],
-            None => &self.line[..],
-        };
-        if self.in_gate_def {
-            if line.contains('}') {
-                self.in_gate_def = false;
-            }
-            return Ok(());
-        }
-        let trimmed = line.trim();
-        if trimmed.starts_with("gate ") {
-            if !trimmed.contains('}') {
-                self.in_gate_def = true;
-            }
-            return Ok(());
-        }
-
-        for stmt in line.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
-            }
-            parse_statement(stmt, self.lineno, &mut self.n_qubits, &mut self.scratch)?;
-            if !self.scratch.is_empty() && self.n_qubits.is_none() {
-                self.scratch.clear();
-                return Err(QasmStreamError::Parse(ParseQasmError {
+        self.line = match String::from_utf8(buf) {
+            Ok(line) => line,
+            // A comment need not be UTF-8: drop it and check the rest.
+            Err(e) => {
+                let mut buf = e.into_bytes();
+                buf.truncate(code_len(&buf));
+                buf.push(b'\n');
+                String::from_utf8(buf).map_err(|_| ParseQasmError {
                     line: self.lineno,
-                    message: "streaming requires the qreg declaration before the first gate".into(),
-                }));
+                    message: "invalid UTF-8 outside a comment".into(),
+                })?
             }
-            self.pending.extend(self.scratch.drain(..));
-        }
+        };
         Ok(())
     }
 }
@@ -182,15 +193,19 @@ impl<R: BufRead> Iterator for QasmStream<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(g) = self.pending.pop_front() {
-                return Some(Ok(g));
+            if let Some(q) = self.measures.next() {
+                return Some(Ok(Gate::Measure(Qubit(q))));
             }
             if self.done {
                 return None;
             }
-            if let Err(e) = self.advance() {
-                self.done = true;
-                return Some(Err(e));
+            match self.step() {
+                Ok(Some(g)) => return Some(Ok(g)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
             }
         }
     }
@@ -288,6 +303,49 @@ mod tests {
             QasmStreamError::Parse(e) => assert!(e.message.contains("outside")),
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn out_of_range_measure_is_rejected() {
+        let err = stream_all("qreg q[2];\nmeasure q[5] -> c[0];\n").unwrap_err();
+        match err {
+            QasmStreamError::Parse(e) => {
+                assert_eq!(e.line, 2);
+                assert!(e.message.contains("outside qreg"), "{e}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn whole_register_measure_yields_every_qubit_in_order() {
+        let mut s = QasmStream::new("qreg q[3];\nmeasure q -> c; h q[1];\n".as_bytes());
+        let gates: Vec<Gate> = s.by_ref().map(Result::unwrap).collect();
+        let measured: Vec<usize> = gates[..3]
+            .iter()
+            .map(|g| match g {
+                Gate::Measure(q) => q.index(),
+                other => panic!("expected a measure, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(measured, [0, 1, 2]);
+        assert_eq!(gates[3], Gate::H(Qubit(1)));
+    }
+
+    #[test]
+    fn non_utf8_outside_comments_is_a_parse_error_at_its_line() {
+        let src: &[u8] = b"qreg q[2];\nh q[0]; // caf\xe9\nh q[1]; \xff\nh q[0];\n";
+        let mut s = QasmStream::new(src);
+        assert_eq!(s.require_n_qubits().unwrap(), 2);
+        assert!(matches!(s.next(), Some(Ok(Gate::H(_)))));
+        match s.next() {
+            Some(Err(QasmStreamError::Parse(e))) => {
+                assert_eq!(e.line, 3);
+                assert!(e.message.contains("UTF-8"), "{e}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        assert!(s.next().is_none());
     }
 
     #[test]

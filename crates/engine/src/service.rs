@@ -1899,13 +1899,22 @@ mod tests {
         );
         let (resps, summary) = drive(&mut s, input);
         assert_eq!(resps.len(), 4);
-        for resp in &resps[..3] {
+        for resp in &resps[..2] {
             assert!(!ok(resp), "{resp:?}");
             assert!(
                 err_msg(resp).contains("exceeds the service cap"),
                 "{resp:?}"
             );
         }
+        // A register past the parser's width bound fails in the parse,
+        // before the service cap is consulted.
+        assert!(!ok(&resps[2]), "{:?}", resps[2]);
+        assert_eq!(err_kind(&resps[2]), "invalid_request");
+        assert!(
+            err_msg(&resps[2]).contains("exceeds the parser limit"),
+            "{:?}",
+            resps[2]
+        );
         assert!(ok(&resps[3]), "the loop survives: {:?}", resps[3]);
         assert_eq!(summary.stats.errors, 3);
     }

@@ -76,3 +76,29 @@ fn deeply_nested_parens_parse() {
         ref g => panic!("unexpected {g:?}"),
     }
 }
+
+/// Parses `src` on a thread with a 256 KiB stack: hostile nesting must
+/// come back as an error, not overflow the stack.
+fn parse_on_small_stack(src: String) -> Result<(), qasm::ParseQasmError> {
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || qasm::parse_qasm(&src).map(drop))
+        .expect("spawn parser thread")
+        .join()
+        .expect("the parser thread does not crash")
+}
+
+#[test]
+fn million_deep_angle_nesting_is_an_error_on_a_small_stack() {
+    const DEPTH: usize = 1_000_000;
+    let parens = format!(
+        "qreg q[1];\nrx({}pi{}) q[0];\n",
+        "(".repeat(DEPTH),
+        ")".repeat(DEPTH)
+    );
+    let minus = format!("qreg q[1];\nrx({}pi) q[0];\n", "-".repeat(DEPTH));
+    for src in [parens, minus] {
+        let e = parse_on_small_stack(src).unwrap_err();
+        assert_eq!(e.line, 2);
+    }
+}

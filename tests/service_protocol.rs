@@ -224,3 +224,78 @@ fn per_request_overrides_match_dedicated_engines() {
         );
     }
 }
+
+#[test]
+fn hostile_qasm_is_rejected_and_the_connection_survives() {
+    // Each hostile request used to abort the process (stack overflow,
+    // a multi-terabyte allocation) or reach the compiler with a qubit
+    // outside the register; each must now be an `invalid_request`, and
+    // the healthy request after it must still be answered.
+    let ok_line = "{\"id\":\"probe\",\"qasm\":\"qreg q[4];\\ncx q[0], q[3];\\n\"}";
+    let parens = format!(
+        "{{\"id\":\"parens\",\"qasm\":\"qreg q[1];\\nrx({}pi{}) q[0];\\n\"}}",
+        "(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let minus = format!(
+        "{{\"id\":\"minus\",\"qasm\":\"qreg q[1];\\nrx({}pi) q[0];\\n\"}}",
+        "-".repeat(200_000)
+    );
+    let huge_measure =
+        "{\"id\":\"huge\",\"qasm\":\"qreg q[100000000000];\\ncreg c[1];\\nmeasure q -> c;\\n\"}";
+    let out_of_range = "{\"id\":\"range\",\"qasm\":\"qreg q[2];\\nmeasure q[5] -> c[0];\\n\"}";
+    let streamed =
+        "{\"id\":\"stream\",\"qasm\":\"qreg q[2];\\nmeasure q[5] -> c[0];\\n\",\"stream\":true}";
+    let hostile = [
+        parens.as_str(),
+        minus.as_str(),
+        huge_measure,
+        out_of_range,
+        streamed,
+    ];
+    let mut input = String::new();
+    for bad in hostile {
+        input.push_str(bad);
+        input.push('\n');
+        input.push_str(ok_line);
+        input.push('\n');
+    }
+
+    let mut service = Service::new(builder()).unwrap();
+    let (responses, summary) = drive(&mut service, input);
+    assert_eq!(responses.len(), hostile.len() * 2);
+    for (i, pair) in responses.chunks(2).enumerate() {
+        let error = pair[0].get("error").expect("hostile requests fail");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("invalid_request"),
+            "case {i}: {:?}",
+            pair[0]
+        );
+        assert_eq!(
+            pair[1].get("ok"),
+            Some(&Json::Bool(true)),
+            "case {i}: {:?}",
+            pair[1]
+        );
+    }
+    let message = |i: usize| {
+        responses[2 * i]
+            .get("error")
+            .unwrap()
+            .get("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    };
+    assert!(message(0).contains("nested deeper"), "{}", message(0));
+    assert!(message(1).contains("nested deeper"), "{}", message(1));
+    assert!(
+        message(2).contains("exceeds the parser limit"),
+        "{}",
+        message(2)
+    );
+    assert!(message(3).contains("outside qreg"), "{}", message(3));
+    assert_eq!(summary.stats.errors as usize, hostile.len());
+}
