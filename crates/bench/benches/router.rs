@@ -1,5 +1,6 @@
-//! Incremental vs reference LinQ scoring (the acceptance yardstick:
-//! ≥2× routing the 16-qubit RCS benchmark).
+//! LinQ routing: the production router (incremental Eq. 1 scorer) vs
+//! the reference router `route_oracle` (full Eq. 1 sum per candidate),
+//! on the 16-qubit RCS and the 64-qubit QFT.
 //!
 //! Run with: `cargo bench -p tilt-bench --bench router`
 
@@ -10,33 +11,25 @@ use tilt_benchmarks::rcs::random_circuit_sampling;
 use tilt_circuit::Circuit;
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
-use tilt_compiler::route::LinqConfig;
+use tilt_compiler::route::route_oracle;
 use tilt_compiler::{DeviceSpec, RouterKind};
 
 fn bench_workload(c: &mut Criterion, name: &str, circuit: &Circuit, head: usize) {
     let native = decompose(circuit);
     let spec = DeviceSpec::new(native.n_qubits(), head).unwrap();
     let initial = InitialMapping::Identity.build(&native, spec.n_ions());
+    let kind = RouterKind::default();
     let mut group = c.benchmark_group(format!("router_{name}"));
     group.sample_size(10);
-    for (id, cfg) in [
-        ("incremental", LinqConfig::default()),
-        (
-            "reference",
-            LinqConfig {
-                incremental: false,
-                ..LinqConfig::default()
-            },
-        ),
-    ] {
-        let kind = RouterKind::Linq(cfg);
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                kind.route(black_box(&native), spec, &initial)
-                    .expect("benchmark workloads route")
-            });
+    group.bench_function("incremental", |b| {
+        b.iter(|| {
+            kind.route(black_box(&native), spec, &initial)
+                .expect("benchmark workloads route")
         });
-    }
+    });
+    group.bench_function("reference", |b| {
+        b.iter(|| route_oracle(black_box(&native), spec, &initial, &kind));
+    });
     group.finish();
 }
 

@@ -13,8 +13,9 @@
 //!   forced-scalar fallback on the same QFT (~1.0× on scalar-only
 //!   hosts, where the two tiers coincide).
 //! * `BENCH_router.json` — routes/sec pushing the 16-qubit RCS
-//!   benchmark through LinQ, incremental vs the retained reference
-//!   scorer.
+//!   benchmark through LinQ, the production router (incremental Eq. 1
+//!   scorer) vs the reference router `route_oracle` (full Eq. 1 sum per
+//!   candidate).
 //! * `BENCH_scheduler.json` — absolute moves/sec scheduling QFT/RCS/QAOA
 //!   workloads through Algorithm 2 (`schedule`, the only engine),
 //!   including one lowered RCS long enough to bind the eligibility
@@ -66,7 +67,7 @@ use tilt_circuit::qasm::{parse_qasm, to_qasm, write_qasm_stream, QasmStream};
 use tilt_circuit::{Circuit, Qubit};
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
-use tilt_compiler::route::LinqConfig;
+use tilt_compiler::route::{route_oracle, LinqConfig};
 use tilt_compiler::schedule::{schedule, SchedulerKind};
 use tilt_compiler::{DeviceSpec, RouterKind};
 use tilt_engine::{
@@ -311,16 +312,12 @@ fn main() {
     let native = decompose(&random_circuit_sampling(4, 4, 16, 7));
     let spec = DeviceSpec::new(16, 4).expect("valid device");
     let initial = InitialMapping::Identity.build(&native, 16);
-    let route_time = |cfg: LinqConfig| {
-        let kind = RouterKind::Linq(cfg);
-        time_median(9, || {
-            std::hint::black_box(kind.route(&native, spec, &initial).expect("rcs16 routes"));
-        })
-    };
-    let t_inc = route_time(LinqConfig::default());
-    let t_ref = route_time(LinqConfig {
-        incremental: false,
-        ..LinqConfig::default()
+    let kind = RouterKind::Linq(LinqConfig::default());
+    let t_inc = time_median(9, || {
+        std::hint::black_box(kind.route(&native, spec, &initial).expect("rcs16 routes"));
+    });
+    let t_ref = time_median(9, || {
+        std::hint::black_box(route_oracle(&native, spec, &initial, &kind));
     });
     let router = Json::object()
         .set("benchmark", "rcs16_head4")

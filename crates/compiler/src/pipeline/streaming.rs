@@ -4,8 +4,10 @@
 //! [`Compiler::compile`] — decompose, route, schedule — over a gate
 //! *stream* instead of a materialized [`Circuit`], holding only
 //! O(window + look-ahead) state: the current input window, the router's
-//! pruned pending suffix ([`StreamRouter`]), and the scheduler's active
-//! horizon ([`StreamScheduler`]). Scheduled ops leave through a
+//! pruned skeleton and carried suffix ([`StreamRouter`]), and the
+//! scheduler's active horizon ([`StreamScheduler`]). Both engines are
+//! the ones [`Compiler::compile`] runs over a whole circuit as a single
+//! window. Scheduled ops leave through a
 //! [`ProgramSink`] as increments; concatenating every increment yields
 //! **exactly** the monolithic program's op stream — decision identity is
 //! the correctness bar, pinned by the in-crate equivalence tests and
@@ -14,8 +16,9 @@
 //! Carry-over state between windows:
 //!
 //! * the logical→physical [`Mapping`] and the router's swap/opposing
-//!   counters, look-ahead window and policy state (LinQ weight cache or
-//!   the stochastic policy's RNG);
+//!   counters, layered skeleton, policy state (LinQ weight cache or the
+//!   stochastic policy's RNG), and the gates from the first two-qubit
+//!   gate whose look-ahead the window did not complete;
 //! * the scheduler's dependency frontier, head position, and
 //!   per-position score caches (the same `StreamScheduler` that
 //!   [`Compiler::compile`] runs over a whole circuit);
@@ -36,7 +39,7 @@ use crate::decompose::decompose_into;
 use crate::error::CompileError;
 use crate::mapping::Mapping;
 use crate::program::TiltOp;
-use crate::route::streaming::StreamRouter;
+use crate::route::streaming::{RoutedSink, StreamRouter};
 use crate::schedule::{StreamScheduler, DEFAULT_HORIZON};
 use crate::spec::DeviceSpec;
 use std::time::{Duration, Instant};
@@ -69,6 +72,15 @@ pub struct CollectSink {
 impl ProgramSink for CollectSink {
     fn emit(&mut self, ops: &[TiltOp]) {
         self.ops.extend_from_slice(ops);
+    }
+}
+
+/// Lowers routed gates into a native circuit as the router emits them.
+struct Lower<'a>(&'a mut Circuit);
+
+impl RoutedSink for Lower<'_> {
+    fn push(&mut self, g: Gate) {
+        crate::decompose::decompose_gate(self.0, &g);
     }
 }
 
@@ -201,8 +213,8 @@ impl StreamingCompiler {
     pub fn finish(mut self, sink: &mut dyn ProgramSink) -> StreamSummary {
         self.process_window(true, sink);
         debug_assert!(self.scheduler.is_done());
-        let swap_count = self.router.swap_count();
-        let opposing_swap_count = self.router.opposing_swap_count();
+        let swap_count = self.router.swap_count;
+        let opposing_swap_count = self.router.opposing_swap_count;
         let opposing_ratio = if swap_count == 0 {
             0.0
         } else {
@@ -224,7 +236,7 @@ impl StreamingCompiler {
             increments: self.increments,
             input_gate_count: self.input_gate_count,
             initial_mapping: self.initial_mapping,
-            final_mapping: self.router.mapping().clone(),
+            final_mapping: self.router.mapping,
         }
     }
 
@@ -237,23 +249,17 @@ impl StreamingCompiler {
         self.t_decompose += t0.elapsed();
 
         // Pass 2: mapping + swap insertion (§IV-C), carried across
-        // windows by the router.
+        // windows by the router. Routed gates are lowered to native gates
+        // (SWAPs to three XX) as they leave the router, so the window is
+        // never held in routed form; the lowering is timed with routing.
         let t1 = Instant::now();
-        for g in self.native.gates() {
-            self.router.push(*g);
-        }
-        if eof {
-            self.router.finish_input();
-        }
+        self.lowered.reset(self.spec.n_ions());
+        self.router
+            .route_window(self.native.gates(), eof, &mut Lower(&mut self.lowered));
         self.t_swap += t1.elapsed();
 
-        // Lower routed SWAPs to native gates, then pass 3: tape
-        // scheduling (§IV-D) up to the carry-over horizon.
+        // Pass 3: tape scheduling (§IV-D) up to the carry-over horizon.
         let t2 = Instant::now();
-        self.lowered.reset(self.spec.n_ions());
-        for g in self.router.drain_routed() {
-            crate::decompose::decompose_gate(&mut self.lowered, &g);
-        }
         let emitted_from = self.ops.len();
         self.scheduler.reserve(self.lowered.len());
         for g in self.lowered.gates() {

@@ -9,7 +9,7 @@
 //! small circuits (see the `linq_vs_exact` tests and the ablation bench);
 //! it is deliberately guarded against large instances.
 
-use super::{is_opposing, pending_gates, PendingIndex, RouteOutcome};
+use super::{is_opposing, PendingIndex, RouteOutcome, Skeleton};
 use crate::error::CompileError;
 use crate::mapping::Mapping;
 use crate::spec::DeviceSpec;
@@ -104,7 +104,8 @@ pub fn optimal_route(
         });
     }
 
-    let pending = pending_gates(native);
+    let mut skeleton = Skeleton::new(native.n_qubits());
+    let pending: Vec<_> = native.iter().filter_map(|g| skeleton.layer(g)).collect();
     let n = spec.n_ions();
 
     // Advance through every already-executable gate (free transitions).
@@ -216,11 +217,9 @@ pub fn optimal_route(
                 swap_count += 1;
                 swap_iter.next();
             }
-            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
             k += 1;
-        } else {
-            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
         }
+        out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
     }
     // Trailing swaps can only exist if the BFS appended them after the
     // last gate, which a minimal solution never does.

@@ -21,8 +21,17 @@
 //! freedom in tape scheduling (Fig. 5 / Fig. 7): a swap of span `L-1` can
 //! execute at exactly one head position, so capping the span lets the
 //! scheduler batch more gates per move.
+//!
+//! `LinqPolicy` scores candidates incrementally. The candidate
+//! comparison only ever subtracts scores *within one decision*, so the
+//! constant `Σ D(g)·α^Δ(g)` base term of Eq. 1 cancels and each candidate
+//! needs only its **delta** over the gates its two ions touch. Those come
+//! from the router's per-qubit index of pending gates, and
+//! the decayed weights of the look-ahead window are cached per cursor
+//! (several swap decisions usually serve one gate). The full Eq. 1 sum
+//! survives only in the test oracle (`route_oracle`).
 
-use super::{RouteState, SwapPolicy};
+use super::{swapped_position, RouteState};
 use crate::error::CompileError;
 use crate::spec::DeviceSpec;
 use tilt_circuit::Qubit;
@@ -42,14 +51,9 @@ pub struct LinqConfig {
     pub alpha: f64,
     /// Number of upcoming two-qubit gates included in `G`. With `α = 0.5`
     /// contributions vanish numerically after a few tens of layers, so a
-    /// window is equivalent to the full sum at a fraction of the cost.
+    /// window is equivalent to the full sum at a fraction of the cost. A
+    /// window past the end of the circuit covers every remaining gate.
     pub lookahead: usize,
-    /// Use the incremental scorer (the default). `false` selects the
-    /// retained reference scorer, which rebuilds the look-ahead weights
-    /// and a hash-map qubit index for **every** swap decision; both
-    /// scorers choose identical swaps (see the `scorers_agree` test), so
-    /// this knob exists purely as the benchmark baseline.
-    pub incremental: bool,
 }
 
 impl Default for LinqConfig {
@@ -58,7 +62,6 @@ impl Default for LinqConfig {
             max_swap_len: None,
             alpha: 0.9,
             lookahead: 128,
-            incremental: true,
         }
     }
 }
@@ -112,18 +115,6 @@ impl LinqConfig {
 }
 
 /// Stateful LinQ policy (implements Algorithm 1 one swap at a time).
-///
-/// The default scorer is *incremental*: the decayed Eq. 1 weights for
-/// the current look-ahead window are cached per pending-gate cursor
-/// (several swap decisions usually serve one gate), and the gates
-/// touching a candidate's two ions come from the route-wide
-/// [`PendingIndex`](super::PendingIndex) instead of a per-decision
-/// hash map. Correctness relies on one observation: the candidate
-/// comparison only ever subtracts scores *within one decision*, so the
-/// constant `Σ D(g)·α^Δ(g)` base term of Eq. 1 cancels and each
-/// candidate needs only its **delta** over the gates its two ions
-/// touch. The reference scorer (`incremental: false`) recomputes the
-/// full Eq. 1 sum per decision, as the seed did.
 pub(crate) struct LinqPolicy {
     cfg: LinqConfig,
     max_swap_len: usize,
@@ -148,10 +139,10 @@ impl LinqPolicy {
     }
 
     /// Forgets the cached look-ahead window; the next decision rebuilds
-    /// it from scratch. The streaming router periodically rebases its
-    /// pending list (dropping the already-routed prefix), which shifts
-    /// the cursor coordinate the cache is keyed on — the rebuilt weights
-    /// are identical, so decisions are unaffected.
+    /// it from scratch. The router periodically rebases its pending list
+    /// (dropping the already-routed prefix), which shifts the cursor
+    /// coordinate the cache is keyed on — the rebuilt weights are
+    /// identical, so decisions are unaffected.
     pub(crate) fn invalidate_window(&mut self) {
         self.cached_cursor = usize::MAX;
     }
@@ -163,7 +154,10 @@ impl LinqPolicy {
             return;
         }
         self.cached_cursor = state.cursor;
-        self.window_end = state.pending.len().min(state.cursor + self.cfg.lookahead);
+        self.window_end = state
+            .pending
+            .len()
+            .min(state.cursor.saturating_add(self.cfg.lookahead));
         let window = &state.pending[state.cursor..self.window_end];
         let cur_layer = window[0].layer;
         self.weights.clear();
@@ -178,22 +172,12 @@ impl LinqPolicy {
         }));
     }
 
-    /// Incremental scorer: Eq. 1 delta of swapping positions `(pa, pb)`
-    /// — only gates touching the two swapped ions contribute.
+    /// Eq. 1 delta of swapping positions `(pa, pb)` — only gates touching
+    /// the two swapped ions contribute.
     fn score_delta(&self, state: &RouteState<'_>, pa: usize, pb: usize) -> f64 {
         let la = state.mapping.logical_at(pa);
         let lb = state.mapping.logical_at(pb);
-        // Virtual position lookup under the candidate swap.
-        let vpos = |q: Qubit| -> usize {
-            let p = state.mapping.position_of(q);
-            if p == pa {
-                pb
-            } else if p == pb {
-                pa
-            } else {
-                p
-            }
-        };
+        let vpos = |q: Qubit| swapped_position(state.mapping, q, pa, pb);
         let mut delta = 0.0f64;
         let mut visit = |idx: usize| {
             let g = &state.pending[idx];
@@ -222,73 +206,8 @@ impl LinqPolicy {
         delta
     }
 
-    /// The seed scorer, retained as the benchmark baseline: rebuilds
-    /// the window weights and a hash-map qubit index for every swap
-    /// decision and scores candidates as `base + delta`.
-    fn reference_score_candidates(
-        &self,
-        state: &RouteState<'_>,
-        mut consider: impl FnMut(usize, usize, f64),
-        candidates: &[(usize, usize)],
-    ) {
-        let window_end = state.pending.len().min(state.cursor + self.cfg.lookahead);
-        let window = &state.pending[state.cursor..window_end];
-        let cur_layer = window[0].layer;
-
-        let mut base_score = 0.0f64;
-        let mut weights = Vec::with_capacity(window.len());
-        let mut touching: std::collections::HashMap<Qubit, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, g) in window.iter().enumerate() {
-            let w = self
-                .cfg
-                .alpha
-                .powi(g.layer.saturating_sub(cur_layer) as i32);
-            weights.push(w);
-            base_score += (state.mapping.distance(g.a, g.b) as f64) * w;
-            touching.entry(g.a).or_default().push(i);
-            touching.entry(g.b).or_default().push(i);
-        }
-
-        for &(pa, pb) in candidates {
-            let la = state.mapping.logical_at(pa);
-            let lb = state.mapping.logical_at(pb);
-            let vpos = |q: Qubit| -> usize {
-                let p = state.mapping.position_of(q);
-                if p == pa {
-                    pb
-                } else if p == pb {
-                    pa
-                } else {
-                    p
-                }
-            };
-            let mut delta = 0.0f64;
-            let mut visit = |idx: usize| {
-                let g = &window[idx];
-                let old = state.mapping.distance(g.a, g.b) as f64;
-                let new = vpos(g.a).abs_diff(vpos(g.b)) as f64;
-                delta += (new - old) * weights[idx];
-            };
-            if let Some(list) = touching.get(&la) {
-                for &i in list {
-                    visit(i);
-                }
-            }
-            if let Some(list) = touching.get(&lb) {
-                for &i in list {
-                    let g = &window[i];
-                    if g.a != la && g.b != la {
-                        visit(i);
-                    }
-                }
-            }
-            consider(pa, pb, base_score + delta);
-        }
-    }
-
     /// Algorithm 1 candidate enumeration: calls `consider(pa, pb)` for
-    /// every legal swap, in a fixed order shared by both scorers.
+    /// every legal swap, in a fixed order.
     fn for_each_candidate(&self, state: &RouteState<'_>, mut consider: impl FnMut(usize, usize)) {
         let (lo, hi) = state.endpoints();
         debug_assert!(hi - lo >= state.spec.head_size());
@@ -301,33 +220,18 @@ impl LinqPolicy {
             }
         }
     }
-}
 
-impl SwapPolicy for LinqPolicy {
-    fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
+    /// The candidate with the minimal Eq. 1 score; ties keep the first
+    /// enumerated.
+    pub(crate) fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
+        self.refresh_window(state);
         let mut best: Option<((usize, usize), f64)> = None;
-        let mut consider = |pa: usize, pb: usize, s: f64| {
-            let better = match best {
-                None => true,
-                Some((_, bs)) => s < bs - 1e-12,
-            };
-            if better {
+        self.for_each_candidate(state, |pa, pb| {
+            let s = self.score_delta(state, pa, pb);
+            if best.is_none_or(|(_, bs)| s < bs - 1e-12) {
                 best = Some(((pa, pb), s));
             }
-        };
-        if self.cfg.incremental {
-            // Allocation-free hot path: score each candidate as it is
-            // enumerated.
-            self.refresh_window(state);
-            self.for_each_candidate(state, |pa, pb| {
-                let s = self.score_delta(state, pa, pb);
-                consider(pa, pb, s);
-            });
-        } else {
-            let mut candidates = Vec::new();
-            self.for_each_candidate(state, |pa, pb| candidates.push((pa, pb)));
-            self.reference_score_candidates(state, consider, &candidates);
-        }
+        });
         best.expect("an unexecutable gate always has swap candidates")
             .0
     }
@@ -458,12 +362,8 @@ mod tests {
     #[test]
     fn incremental_and_reference_scorers_choose_identical_swaps() {
         // The incremental scorer drops the constant Eq. 1 base term
-        // (argmin-invariant); the routed circuits must match the seed
-        // scorer's exactly, swap for swap.
-        let reference = LinqConfig {
-            incremental: false,
-            ..LinqConfig::default()
-        };
+        // (argmin-invariant); the routed circuits must match the full-sum
+        // scorer of the oracle exactly, swap for swap.
         let mut workloads: Vec<(Circuit, usize, usize)> = Vec::new();
         let mut crossing = Circuit::new(24);
         for i in 0..8 {
@@ -481,7 +381,10 @@ mod tests {
         workloads.push((ladder, 16, 4));
         for (circuit, n, head) in workloads {
             let fast = route_linq(&circuit, n, head, LinqConfig::default());
-            let slow = route_linq(&circuit, n, head, reference);
+            let spec = DeviceSpec::new(n, head).unwrap();
+            let initial = InitialMapping::Identity.build(&circuit, n);
+            let kind = RouterKind::Linq(LinqConfig::default());
+            let slow = crate::route::route_oracle(&circuit, spec, &initial, &kind);
             assert_eq!(fast.circuit, slow.circuit);
             assert_eq!(fast.swap_count, slow.swap_count);
             assert_eq!(fast.opposing_swap_count, slow.opposing_swap_count);

@@ -17,12 +17,17 @@
 //!   endpoint the maximum allowed distance with randomized endpoint
 //!   selection.
 //!
+//! One engine, the window-by-window router of the `streaming` module,
+//! runs both: [`RouterKind::route`] is its one-window case. Only tests
+//! and benchmarks call [`route_oracle`], the plain reference router.
+//!
 //! Swaps are *long-range* gates: a SWAP between positions `d ≤ L-1` apart
 //! is a single three-`XX` gate, not a chain of neighbour swaps — trapped
 //! ions are fully connected inside the execution zone.
 
 pub mod exact;
 pub mod linq;
+mod oracle;
 pub mod stochastic;
 pub(crate) mod streaming;
 
@@ -33,6 +38,8 @@ use tilt_circuit::{Circuit, Gate, Qubit};
 
 pub use exact::ExactConfig;
 pub use linq::LinqConfig;
+#[doc(hidden)]
+pub use oracle::route_oracle;
 pub use stochastic::StochasticConfig;
 
 /// Which swap-insertion policy to run.
@@ -65,35 +72,53 @@ pub(crate) struct PendingGate {
     pub layer: usize,
 }
 
-/// ASAP layering of the two-qubit skeleton: only two-qubit gates advance
-/// per-qubit levels (single-qubit gates are transparent; barriers
-/// synchronise everything).
-pub(crate) fn pending_gates(native: &Circuit) -> Vec<PendingGate> {
-    let mut level = vec![0usize; native.n_qubits()];
-    let mut barrier_level = 0usize;
-    let mut pending = Vec::with_capacity(native.len() / 2);
-    for g in native {
+/// ASAP layering of the two-qubit skeleton, one gate at a time: only
+/// two-qubit gates advance per-qubit levels (single-qubit gates are
+/// transparent; barriers synchronise everything).
+pub(crate) struct Skeleton {
+    level: Vec<usize>,
+    /// The highest level so far; levels never decrease, so this is the
+    /// maximum over `level`.
+    peak: usize,
+    barrier_level: usize,
+}
+
+impl Skeleton {
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        Skeleton {
+            level: vec![0; n_qubits],
+            peak: 0,
+            barrier_level: 0,
+        }
+    }
+
+    /// Layers the next gate in program order; two-qubit gates come back
+    /// as pending gates.
+    #[inline]
+    pub(crate) fn layer(&mut self, g: &Gate) -> Option<PendingGate> {
         if matches!(g, Gate::Barrier) {
-            barrier_level = barrier_level.max(level.iter().copied().max().unwrap_or(0));
-            continue;
+            self.barrier_level = self.peak;
+            return None;
         }
         if !g.is_two_qubit() {
-            continue;
+            return None;
         }
         let qs = g.operands();
         let (a, b) = (qs[0], qs[1]);
-        let layer = level[a.index()].max(level[b.index()]).max(barrier_level);
-        level[a.index()] = layer + 1;
-        level[b.index()] = layer + 1;
-        pending.push(PendingGate { a, b, layer });
+        let layer = self.level[a.index()]
+            .max(self.level[b.index()])
+            .max(self.barrier_level);
+        self.level[a.index()] = layer + 1;
+        self.level[b.index()] = layer + 1;
+        self.peak = self.peak.max(layer + 1);
+        Some(PendingGate { a, b, layer })
     }
-    pending
 }
 
 /// Per-qubit index into the pending-gate list: for each logical qubit,
 /// the (ascending) indices of the pending two-qubit gates touching it.
 ///
-/// Built **once per route** and shared by the Eq. 1 scorer and the
+/// Grown as gates are layered and shared by the Eq. 1 scorer and the
 /// opposing-swap classifier, replacing their per-decision scans of the
 /// pending list with `O(log)` binary searches.
 pub(crate) struct PendingIndex {
@@ -101,13 +126,26 @@ pub(crate) struct PendingIndex {
 }
 
 impl PendingIndex {
-    pub(crate) fn build(pending: &[PendingGate], n_qubits: usize) -> Self {
-        let mut per_qubit = vec![Vec::new(); n_qubits];
-        for (i, g) in pending.iter().enumerate() {
-            per_qubit[g.a.index()].push(i as u32);
-            per_qubit[g.b.index()].push(i as u32);
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        PendingIndex {
+            per_qubit: vec![Vec::new(); n_qubits],
         }
-        PendingIndex { per_qubit }
+    }
+
+    pub(crate) fn build(pending: &[PendingGate], n_qubits: usize) -> Self {
+        let mut index = PendingIndex::new(n_qubits);
+        for (i, g) in pending.iter().enumerate() {
+            index.push(i as u32, g);
+        }
+        index
+    }
+
+    /// Records pending gate `i`, which must follow every gate recorded so
+    /// far.
+    #[inline]
+    pub(crate) fn push(&mut self, i: u32, g: &PendingGate) {
+        self.per_qubit[g.a.index()].push(i);
+        self.per_qubit[g.b.index()].push(i);
     }
 
     /// The slice of gate indices touching `q` at or after `cursor`.
@@ -130,9 +168,9 @@ impl PendingIndex {
 pub(crate) struct RouteState<'a> {
     pub spec: DeviceSpec,
     pub mapping: &'a Mapping,
-    /// All two-qubit gates in program order.
+    /// The held two-qubit gates in program order.
     pub pending: &'a [PendingGate],
-    /// Per-qubit index over `pending`, built once per route.
+    /// Per-qubit index over `pending`.
     pub index: &'a PendingIndex,
     /// Index into `pending` of the gate currently being resolved.
     pub cursor: usize,
@@ -146,14 +184,6 @@ impl RouteState<'_> {
         let pb = self.mapping.position_of(g.b);
         (pa.min(pb), pa.max(pb))
     }
-}
-
-/// A swap-selection policy: given the route state, pick the next pair of
-/// tape positions to swap. The returned pair must strictly reduce the
-/// current gate's distance (all built-in policies guarantee this, which
-/// guarantees router termination).
-pub(crate) trait SwapPolicy {
-    fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize);
 }
 
 /// Result of routing: the physical circuit and the statistics Fig. 6
@@ -235,72 +265,16 @@ impl RouterKind {
                 n_ions: spec.n_ions(),
             });
         }
-        self.validate(spec)?;
-        match self {
-            RouterKind::Linq(cfg) => {
-                let mut policy = linq::LinqPolicy::new(*cfg, spec);
-                Ok(route_with_policy(native, spec, initial, &mut policy))
-            }
-            RouterKind::Stochastic(cfg) => {
-                let mut policy = stochastic::StochasticPolicy::new(*cfg);
-                Ok(route_with_policy(native, spec, initial, &mut policy))
-            }
-        }
-    }
-}
-
-/// Shared routing loop: walk the circuit in program order (a topological
-/// order), inserting the policy's swaps before each unexecutable gate.
-pub(crate) fn route_with_policy(
-    native: &Circuit,
-    spec: DeviceSpec,
-    initial: &Mapping,
-    policy: &mut dyn SwapPolicy,
-) -> RouteOutcome {
-    let pending = pending_gates(native);
-    let index = PendingIndex::build(&pending, spec.n_ions());
-
-    let mut out = Circuit::with_capacity(spec.n_ions(), native.len() + native.len() / 4);
-    let mut mapping = initial.clone();
-    let mut cursor = 0usize;
-    let mut swap_count = 0usize;
-    let mut opposing_swap_count = 0usize;
-
-    for g in native {
-        if g.is_two_qubit() {
-            let qs = g.operands();
-            while mapping.distance(qs[0], qs[1]) >= spec.head_size() {
-                let (pa, pb) = {
-                    let state = RouteState {
-                        spec,
-                        mapping: &mapping,
-                        pending: &pending,
-                        index: &index,
-                        cursor,
-                    };
-                    policy.choose_swap(&state)
-                };
-                debug_assert!(pa != pb && pa.abs_diff(pb) < spec.head_size());
-                if is_opposing(&mapping, &pending, &index, cursor, pa, pb) {
-                    opposing_swap_count += 1;
-                }
-                out.swap(Qubit(pa.min(pb)), Qubit(pa.max(pb)));
-                mapping.swap_positions(pa, pb);
-                swap_count += 1;
-            }
-            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
-            cursor += 1;
-        } else {
-            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
-        }
-    }
-
-    RouteOutcome {
-        circuit: out,
-        initial_mapping: initial.clone(),
-        final_mapping: mapping,
-        swap_count,
-        opposing_swap_count,
+        let mut router = streaming::StreamRouter::new(self, spec, initial.clone())?;
+        let mut out = Vec::with_capacity(native.len() + native.len() / 4);
+        router.route_window(native.gates(), true, &mut out);
+        Ok(RouteOutcome {
+            circuit: Circuit::from_gates(spec.n_ions(), out),
+            initial_mapping: initial.clone(),
+            final_mapping: router.mapping,
+            swap_count: router.swap_count,
+            opposing_swap_count: router.opposing_swap_count,
+        })
     }
 }
 
@@ -337,26 +311,24 @@ fn is_opposing(
         return false;
     }
 
-    // Distance of pending gate `i` under the virtual swap of (pa, pb).
-    let vdist = |i: usize| -> usize {
+    // Whether the swap strictly shortens pending gate `i`.
+    let vpos = |q: Qubit| swapped_position(mapping, q, pa, pb);
+    let shortened = |i: usize| {
         let g = &pending[i];
-        let vpos = |q: Qubit| {
-            let p = mapping.position_of(q);
-            if p == pa {
-                pb
-            } else if p == pb {
-                pa
-            } else {
-                p
-            }
-        };
-        vpos(g.a).abs_diff(vpos(g.b))
+        vpos(g.a).abs_diff(vpos(g.b)) < mapping.distance(g.a, g.b)
     };
-    let dist = |i: usize| {
-        let g = &pending[i];
-        mapping.distance(g.a, g.b)
-    };
-    vdist(ga) < dist(ga) && vdist(gb) < dist(gb)
+    shortened(ga) && shortened(gb)
+}
+
+/// Position of logical qubit `q` once tape positions `pa` and `pb` are
+/// swapped.
+#[inline]
+fn swapped_position(mapping: &Mapping, q: Qubit, pa: usize, pb: usize) -> usize {
+    match mapping.position_of(q) {
+        p if p == pa => pb,
+        p if p == pb => pa,
+        p => p,
+    }
 }
 
 #[cfg(test)]
@@ -515,7 +487,8 @@ mod tests {
         c.rz(Qubit(1), 0.5);
         c.xx(Qubit(1), Qubit(2), 0.1);
         c.xx(Qubit(0), Qubit(3), 0.1);
-        let pending = pending_gates(&c);
+        let mut skeleton = Skeleton::new(c.n_qubits());
+        let pending: Vec<_> = c.iter().filter_map(|g| skeleton.layer(g)).collect();
         assert_eq!(pending.len(), 3);
         assert_eq!(pending[0].layer, 0);
         assert_eq!(pending[1].layer, 1); // chained through q1, rotations transparent
@@ -529,5 +502,58 @@ mod tests {
         let initial = Mapping::identity(16);
         let err = RouterKind::default().route(&c, spec, &initial).unwrap_err();
         assert!(matches!(err, CompileError::CircuitTooWide { .. }));
+    }
+
+    /// Times `RouterKind::route` (LinQ defaults, identity placement) on
+    /// the Table II suite at heads 16 and 32: best of 40 routes per
+    /// circuit and head, summed over the two heads. Run with
+    /// `cargo test --release -p tilt-compiler --lib paper_suite_route_timing -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing report, not a check"]
+    fn paper_suite_route_timing() {
+        use std::time::{Duration, Instant};
+        let kind = RouterKind::default();
+        let mut total = Duration::ZERO;
+        for b in tilt_benchmarks::paper_suite() {
+            let native = crate::decompose::decompose(&b.circuit);
+            let mut per_circuit = Duration::ZERO;
+            for head in [16, 32] {
+                let spec = DeviceSpec::new(native.n_qubits(), head).unwrap();
+                let initial = InitialMapping::Identity.build(&native, spec.n_ions());
+                let best = (0..40)
+                    .map(|_| {
+                        let t = Instant::now();
+                        std::hint::black_box(kind.route(&native, spec, &initial).unwrap());
+                        t.elapsed()
+                    })
+                    .min()
+                    .unwrap();
+                per_circuit += best;
+            }
+            println!(
+                "route {:<6} {:8.3} ms",
+                b.name,
+                per_circuit.as_secs_f64() * 1e3
+            );
+            total += per_circuit;
+        }
+        println!("route total  {:8.3} ms", total.as_secs_f64() * 1e3);
+
+        // The perf bin's `BENCH_router.json` workload: swap-heavy RCS-16
+        // under a 4-ion head.
+        let native = crate::decompose::decompose(&tilt_benchmarks::rcs::random_circuit_sampling(
+            4, 4, 16, 7,
+        ));
+        let spec = DeviceSpec::new(16, 4).unwrap();
+        let initial = InitialMapping::Identity.build(&native, 16);
+        let best = (0..200)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(kind.route(&native, spec, &initial).unwrap());
+                t.elapsed()
+            })
+            .min()
+            .unwrap();
+        println!("route rcs16h4 {:8.3} ms", best.as_secs_f64() * 1e3);
     }
 }

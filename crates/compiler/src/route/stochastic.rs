@@ -10,7 +10,7 @@
 //! gate is resolved in isolation, exactly like running `StochasticSwap`
 //! per-gate against the windowed 1-D coupling graph.
 
-use super::{RouteState, SwapPolicy};
+use super::RouteState;
 use crate::error::CompileError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -62,24 +62,16 @@ impl StochasticPolicy {
             rng: SmallRng::seed_from_u64(cfg.seed),
         }
     }
-}
 
-impl SwapPolicy for StochasticPolicy {
-    fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
+    pub(crate) fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
         let (lo, hi) = state.endpoints();
         let d = hi - lo;
         let max_jump = (state.spec.head_size() - 1).min(d - 1);
 
         // Sample (endpoint, jump) pairs; keep the one minimizing the
-        // resulting distance of the current gate. The resulting
-        // distance is `d - jump` with `d` fixed for the whole decision,
-        // so minimizing it is exactly maximizing the jump: the trial
-        // loop tracks only the strictly-largest jump seen (first win
-        // kept, as the seed's strict `<` did) and the candidate pair
-        // plus its distance are materialized once, after the loop. The
-        // RNG is consumed identically to the seed loop, so fixed seeds
-        // reproduce the seed's routes bit-for-bit (pinned by
-        // `trial_loop_matches_seed_semantics`).
+        // resulting distance `d - jump` of the current gate, i.e. the
+        // first strictly-largest jump. The test oracle materializes every
+        // trial's candidate instead; both consume the RNG identically.
         let mut best_jump = 0usize;
         let mut best_from_lo = true;
         for _ in 0..self.trials {
@@ -170,45 +162,11 @@ mod tests {
         assert_eq!(max_span, 7, "baseline should jump maximally");
     }
 
-    /// The seed's trial loop, verbatim: recomputes the candidate pair
-    /// and resulting distance inside every attempt. The shipping policy
-    /// hoists that out (max-jump tracking); this reference pins the two
-    /// to identical routes under identical RNG streams.
-    struct SeedPolicy {
-        trials: usize,
-        rng: SmallRng,
-    }
-
-    impl SwapPolicy for SeedPolicy {
-        fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
-            let (lo, hi) = state.endpoints();
-            let d = hi - lo;
-            let max_jump = (state.spec.head_size() - 1).min(d - 1);
-            let mut best: Option<((usize, usize), usize)> = None;
-            for _ in 0..self.trials {
-                let jump = self.rng.gen_range(1..=max_jump);
-                let from_lo: bool = self.rng.gen();
-                let cand = if from_lo {
-                    (lo, lo + jump)
-                } else {
-                    (hi - jump, hi)
-                };
-                let new_d = d - jump;
-                let better = match best {
-                    None => true,
-                    Some((_, bd)) => new_d < bd,
-                };
-                if better {
-                    best = Some((cand, new_d));
-                }
-            }
-            best.expect("at least one trial ran").0
-        }
-    }
-
+    /// The policy tracks only the largest jump; the oracle keeps the loop
+    /// that materializes every trial's candidate. Both must give
+    /// identical routes under identical RNG streams.
     #[test]
     fn trial_loop_matches_seed_semantics() {
-        use crate::route::route_with_policy;
         for (n, head, seed) in [
             (16usize, 4usize, 0u64),
             (24, 6, 7),
@@ -222,18 +180,15 @@ mod tests {
             }
             let spec = DeviceSpec::new(n, head).unwrap();
             let initial = InitialMapping::Identity.build(&c, n);
-            let mut fast = StochasticPolicy::new(StochasticConfig { trials: 20, seed });
-            let fast_out = route_with_policy(&c, spec, &initial, &mut fast);
-            let mut reference = SeedPolicy {
-                trials: 20,
-                rng: SmallRng::seed_from_u64(seed),
-            };
-            let ref_out = route_with_policy(&c, spec, &initial, &mut reference);
+            let kind = RouterKind::Stochastic(StochasticConfig { trials: 20, seed });
+            let fast_out = kind.route(&c, spec, &initial).unwrap();
+            let ref_out = crate::route::route_oracle(&c, spec, &initial, &kind);
             assert_eq!(
                 fast_out.circuit, ref_out.circuit,
                 "n={n} head={head} seed={seed}"
             );
             assert_eq!(fast_out.swap_count, ref_out.swap_count);
+            assert_eq!(fast_out.opposing_swap_count, ref_out.opposing_swap_count);
             assert_eq!(fast_out.final_mapping, ref_out.final_mapping);
         }
     }

@@ -1,71 +1,92 @@
-//! Incremental swap insertion for the streaming pipeline.
+//! The swap router: Algorithm 1 over a circuit handed over window by
+//! window.
 //!
-//! [`StreamRouter`] replays [`route_with_policy`]'s per-gate loop over a
-//! gate stream instead of a materialized circuit, holding only a bounded
-//! suffix of the two-qubit skeleton in memory. Decision identity with the
-//! monolithic router rests on one observation: every policy decision and
-//! the opposing-swap classifier inspect the pending list only inside
-//! `[cursor, cursor + K)` with `K = max(lookahead, OPPOSING_HORIZON)` —
-//! so a two-qubit gate is routed only once `K` pending gates beyond it
-//! have been ingested (or the stream ended), at which point every
-//! `min(len, cursor + K)` the scorers compute equals the monolithic
-//! value.
+//! [`StreamRouter`] routes each window straight from the caller's gate
+//! slice and hands each routed gate to the caller as it is decided. [`RouterKind::route`] passes
+//! the whole circuit as one final window; the streaming pipeline passes
+//! each decomposed input window as it arrives. Both make the same
+//! decisions, because every policy decision and the opposing-swap
+//! classifier inspect the pending two-qubit skeleton only inside
+//! `[cursor, cursor + K)` with `K = max(lookahead, OPPOSING_HORIZON)`.
+//! A two-qubit gate is routed once `K` pending gates beyond it are
+//! layered (or the input has ended), so every `min(len, cursor + K)` the
+//! scorers compute equals its whole-circuit value.
 //!
-//! The already-routed prefix of the pending list is dropped in chunks
-//! ([`PRUNE_CHUNK`]); indices are rebased to local coordinates and the
-//! LinQ weight cache (keyed on the cursor coordinate) is invalidated,
-//! which rebuilds identical weights and leaves decisions unchanged.
+//! The skeleton stays bounded whatever the window size: gates are
+//! layered lazily, only as far as `cursor + K`, and the routed prefix is
+//! dropped every [`PRUNE_CHUNK`] gates (indices rebased, LinQ weight
+//! cache rebuilt identically). When a window ends before `K` gates
+//! beyond the next two-qubit gate are known, that gate and everything
+//! after it (already layered) are carried ahead of the next window.
 
-use std::collections::VecDeque;
-
-use super::{is_opposing, linq, stochastic, PendingGate, PendingIndex, RouteState};
-use super::{RouterKind, SwapPolicy, OPPOSING_HORIZON};
+use super::{is_opposing, linq, stochastic, PendingGate, PendingIndex, RouteState, Skeleton};
+use super::{RouterKind, OPPOSING_HORIZON};
 use crate::error::CompileError;
 use crate::mapping::Mapping;
 use crate::spec::DeviceSpec;
 use tilt_circuit::{Gate, Qubit};
 
 /// Routed-prefix length at which the pending list is rebased.
-const PRUNE_CHUNK: usize = 4096;
+pub(crate) const PRUNE_CHUNK: usize = 4096;
 
-/// The policy instance carried across windows.
+/// The swap-selection policy carried across windows.
 enum StreamPolicy {
     Linq(linq::LinqPolicy),
     Stochastic(stochastic::StochasticPolicy),
 }
 
-/// Incremental counterpart of [`route_with_policy`]: push native gates,
-/// drain routed (physical-coordinate) gates, identical output.
+impl StreamPolicy {
+    /// The next pair of tape positions to swap; it strictly reduces the
+    /// current gate's distance, which guarantees termination.
+    fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
+        match self {
+            StreamPolicy::Linq(p) => p.choose_swap(state),
+            StreamPolicy::Stochastic(p) => p.choose_swap(state),
+        }
+    }
+}
+
+/// Receives routed gates in program order: a `Vec` collects them, the
+/// streaming pipeline lowers them as they arrive. (A `FnMut` closure in
+/// its place cost swap-light routes 10–15%.)
+pub(crate) trait RoutedSink {
+    fn push(&mut self, g: Gate);
+}
+
+impl RoutedSink for Vec<Gate> {
+    #[inline]
+    fn push(&mut self, g: Gate) {
+        Vec::push(self, g);
+    }
+}
+
+/// Routes native gates window by window, carrying the mapping, the
+/// skeleton, the policy state and the unrouted suffix between windows.
 pub(crate) struct StreamRouter {
     spec: DeviceSpec,
     policy: StreamPolicy,
-    /// Pending gates required beyond the cursor before a decision is
-    /// arithmetic-identical to the monolithic router's.
+    /// Pending gates required beyond the cursor before a decision equals
+    /// the whole-circuit one.
     ahead: usize,
-    /// Two-qubit skeleton layering state (incremental `pending_gates`).
-    level: Vec<usize>,
-    level_peak: usize,
-    barrier_level: usize,
-    /// Pending two-qubit gates in **local** coordinates: entry `i` is
-    /// skeleton gate `base + i`.
+    skeleton: Skeleton,
+    /// Layered two-qubit gates not yet dropped by a rebase.
     pending: Vec<PendingGate>,
     index: PendingIndex,
-    base: usize,
-    /// Local index of the skeleton gate currently being resolved.
+    /// Index into `pending` of the gate currently being resolved.
     cursor: usize,
-    /// Native gates ingested but not yet routed (head blocks on the
-    /// ingest-ahead requirement; everything behind it waits in order).
-    queue: VecDeque<Gate>,
-    mapping: Mapping,
-    eof: bool,
-    swap_count: usize,
-    opposing_swap_count: usize,
-    /// Routed output awaiting collection by the caller.
-    out: Vec<Gate>,
+    /// Gates of earlier windows from the first blocked two-qubit gate on,
+    /// all already layered.
+    carry: Vec<Gate>,
+    /// The current mapping (after the final window: the final one).
+    pub(crate) mapping: Mapping,
+    /// Inserted SWAP gates so far.
+    pub(crate) swap_count: usize,
+    /// Opposing swaps so far (Fig. 2c).
+    pub(crate) opposing_swap_count: usize,
 }
 
 impl StreamRouter {
-    /// Creates a streaming router for `kind` starting from `initial`.
+    /// Creates a router for `kind` starting from `initial`.
     ///
     /// # Errors
     ///
@@ -91,128 +112,113 @@ impl StreamRouter {
             spec,
             policy,
             ahead,
-            level: vec![0; spec.n_ions()],
-            level_peak: 0,
-            barrier_level: 0,
+            skeleton: Skeleton::new(spec.n_ions()),
             pending: Vec::new(),
-            index: PendingIndex::build(&[], spec.n_ions()),
-            base: 0,
+            index: PendingIndex::new(spec.n_ions()),
             cursor: 0,
-            queue: VecDeque::new(),
+            carry: Vec::new(),
             mapping: initial,
-            eof: false,
             swap_count: 0,
             opposing_swap_count: 0,
-            out: Vec::new(),
         })
     }
 
-    /// Ingests the next native gate (program order) and routes as much of
-    /// the queue as the ingest-ahead requirement allows.
-    pub(crate) fn push(&mut self, g: Gate) {
-        debug_assert!(!self.eof, "push after finish_input");
-        if matches!(g, Gate::Barrier) {
-            // Levels never decrease, so the running peak equals the
-            // monolithic per-barrier max scan.
-            self.barrier_level = self.level_peak;
-        } else if g.is_two_qubit() {
-            let qs = g.operands();
-            let (a, b) = (qs[0], qs[1]);
-            let layer = self.level[a.index()]
-                .max(self.level[b.index()])
-                .max(self.barrier_level);
-            self.level[a.index()] = layer + 1;
-            self.level[b.index()] = layer + 1;
-            self.level_peak = self.level_peak.max(layer + 1);
-            let i = u32::try_from(self.pending.len()).expect("pending window fits u32");
-            self.index.per_qubit[a.index()].push(i);
-            self.index.per_qubit[b.index()].push(i);
-            self.pending.push(PendingGate { a, b, layer });
+    /// Routes the carried gates, then `window` (the next native gates in
+    /// program order), passing each physical-coordinate gate and inserted
+    /// swap to `out` in order. With `eof` every gate is routed;
+    /// otherwise the gates from the first two-qubit gate that still
+    /// lacks look-ahead are carried into the next call.
+    pub(crate) fn route_window(&mut self, window: &[Gate], eof: bool, out: &mut impl RoutedSink) {
+        let mut carry = std::mem::take(&mut self.carry);
+        let mut scan = 0;
+        let routed = self.route_from(&carry, window, &mut scan, eof, out);
+        if routed < carry.len() {
+            // Blocked inside the carry: the whole window is layered.
+            carry.drain(..routed);
+            carry.extend_from_slice(window);
+        } else {
+            carry.clear();
+            let routed = self.route_from(window, window, &mut scan, eof, out);
+            carry.extend_from_slice(&window[routed..]);
+            for g in &window[scan..] {
+                self.layer(g);
+            }
         }
-        self.queue.push_back(g);
-        self.drain();
+        self.carry = carry;
     }
 
-    /// Declares end of input: the remaining queue routes unconditionally
-    /// (truncated windows now match the monolithic end-of-circuit ones).
-    pub(crate) fn finish_input(&mut self) {
-        self.eof = true;
-        self.drain();
-        debug_assert!(self.queue.is_empty());
-    }
-
-    /// Routed gates produced since the last call, in program order.
-    pub(crate) fn drain_routed(&mut self) -> std::vec::Drain<'_, Gate> {
-        self.out.drain(..)
-    }
-
-    /// Number of inserted SWAP gates so far.
-    pub(crate) fn swap_count(&self) -> usize {
-        self.swap_count
-    }
-
-    /// Number of opposing swaps so far (Fig. 2c).
-    pub(crate) fn opposing_swap_count(&self) -> usize {
-        self.opposing_swap_count
-    }
-
-    /// The current (after `finish_input`: final) mapping.
-    pub(crate) fn mapping(&self) -> &Mapping {
-        &self.mapping
-    }
-
-    /// Pending skeleton gates currently held (memory-bound diagnostics).
-    #[cfg(test)]
-    fn window_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn drain(&mut self) {
-        while let Some(&g) = self.queue.front() {
+    /// Routes `gates` in order, layering further gates of `source` from
+    /// `*scan` on as the look-ahead needs them. Returns how many gates
+    /// were routed: all of them, or up to the first blocked two-qubit
+    /// gate (only without `eof`, and only once `source` is exhausted).
+    fn route_from(
+        &mut self,
+        gates: &[Gate],
+        source: &[Gate],
+        scan: &mut usize,
+        eof: bool,
+        out: &mut impl RoutedSink,
+    ) -> usize {
+        for (i, g) in gates.iter().enumerate() {
             if g.is_two_qubit() {
-                if !self.eof && self.pending.len() < self.cursor + self.ahead {
-                    break;
+                let need = self.cursor.saturating_add(self.ahead);
+                while self.pending.len() < need && *scan < source.len() {
+                    self.layer(&source[*scan]);
+                    *scan += 1;
+                }
+                if self.pending.len() < need && !eof {
+                    return i;
                 }
                 let qs = g.operands();
                 while self.mapping.distance(qs[0], qs[1]) >= self.spec.head_size() {
-                    let state = RouteState {
-                        spec: self.spec,
-                        mapping: &self.mapping,
-                        pending: &self.pending,
-                        index: &self.index,
-                        cursor: self.cursor,
-                    };
-                    let (pa, pb) = match &mut self.policy {
-                        StreamPolicy::Linq(p) => p.choose_swap(&state),
-                        StreamPolicy::Stochastic(p) => p.choose_swap(&state),
-                    };
-                    debug_assert!(pa != pb && pa.abs_diff(pb) < self.spec.head_size());
-                    if is_opposing(
-                        &self.mapping,
-                        &self.pending,
-                        &self.index,
-                        self.cursor,
-                        pa,
-                        pb,
-                    ) {
-                        self.opposing_swap_count += 1;
-                    }
-                    self.out
-                        .push(Gate::Swap(Qubit(pa.min(pb)), Qubit(pa.max(pb))));
-                    self.mapping.swap_positions(pa, pb);
-                    self.swap_count += 1;
+                    self.insert_swap(out);
                 }
-                self.out
-                    .push(g.map_qubits(|q| Qubit(self.mapping.position_of(q))));
                 self.cursor += 1;
-            } else {
-                self.out
-                    .push(g.map_qubits(|q| Qubit(self.mapping.position_of(q))));
+                if self.cursor >= PRUNE_CHUNK {
+                    self.rebase();
+                }
             }
-            self.queue.pop_front();
+            out.push(g.map_qubits(|q| Qubit(self.mapping.position_of(q))));
         }
-        if self.cursor >= PRUNE_CHUNK {
-            self.rebase();
+        gates.len()
+    }
+
+    /// Chooses, classifies and applies one swap for the current gate.
+    /// Kept out of line so that the per-gate loop stays small: inlined,
+    /// it cost `RouterKind::route` 30–60% on swap-light circuits.
+    #[inline(never)]
+    fn insert_swap(&mut self, out: &mut impl RoutedSink) {
+        let state = RouteState {
+            spec: self.spec,
+            mapping: &self.mapping,
+            pending: &self.pending,
+            index: &self.index,
+            cursor: self.cursor,
+        };
+        let (pa, pb) = self.policy.choose_swap(&state);
+        debug_assert!(pa != pb && pa.abs_diff(pb) < self.spec.head_size());
+        if is_opposing(
+            &self.mapping,
+            &self.pending,
+            &self.index,
+            self.cursor,
+            pa,
+            pb,
+        ) {
+            self.opposing_swap_count += 1;
+        }
+        out.push(Gate::Swap(Qubit(pa.min(pb)), Qubit(pa.max(pb))));
+        self.mapping.swap_positions(pa, pb);
+        self.swap_count += 1;
+    }
+
+    /// Adds `g` to the skeleton (two-qubit gates join the pending list).
+    #[inline]
+    fn layer(&mut self, g: &Gate) {
+        if let Some(p) = self.skeleton.layer(g) {
+            let i = u32::try_from(self.pending.len()).expect("pending window fits u32");
+            self.index.push(i, &p);
+            self.pending.push(p);
         }
     }
 
@@ -221,7 +227,6 @@ impl StreamRouter {
     fn rebase(&mut self) {
         let k = self.cursor;
         self.pending.drain(..k);
-        self.base += k;
         self.cursor = 0;
         let cut = u32::try_from(k).expect("prune chunk fits u32");
         for list in &mut self.index.per_qubit {
@@ -241,7 +246,7 @@ impl StreamRouter {
 mod tests {
     use super::*;
     use crate::mapping::InitialMapping;
-    use crate::route::{LinqConfig, RouteOutcome, StochasticConfig};
+    use crate::route::{route_oracle, LinqConfig, StochasticConfig};
     use tilt_circuit::Circuit;
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -282,10 +287,6 @@ mod tests {
         vec![
             RouterKind::Linq(LinqConfig::default()),
             RouterKind::Linq(LinqConfig {
-                incremental: false,
-                ..LinqConfig::default()
-            }),
-            RouterKind::Linq(LinqConfig {
                 max_swap_len: Some(3),
                 lookahead: 17,
                 ..LinqConfig::default()
@@ -294,25 +295,43 @@ mod tests {
         ]
     }
 
-    fn stream_route(kind: &RouterKind, c: &Circuit, spec: DeviceSpec) -> (Vec<Gate>, RouteOutcome) {
+    /// Routes `c` in windows of `window` native gates (the last one with
+    /// `eof`), returning the output and the router after the last window.
+    fn windowed(
+        kind: &RouterKind,
+        c: &Circuit,
+        spec: DeviceSpec,
+        window: usize,
+    ) -> (Vec<Gate>, StreamRouter) {
         let initial = InitialMapping::Identity.build(c, spec.n_ions());
-        let mono = kind.route(c, spec, &initial).unwrap();
         let mut sr = StreamRouter::new(kind, spec, initial).unwrap();
         let mut got = Vec::new();
-        for g in c {
-            sr.push(*g);
-            got.extend(sr.drain_routed());
+        let chunks: Vec<&[Gate]> = c.gates().chunks(window).collect();
+        for (i, chunk) in chunks.iter().enumerate() {
+            sr.route_window(chunk, i + 1 == chunks.len(), &mut got);
         }
-        sr.finish_input();
-        got.extend(sr.drain_routed());
-        assert_eq!(sr.swap_count(), mono.swap_count, "{kind:?}");
-        assert_eq!(
-            sr.opposing_swap_count(),
-            mono.opposing_swap_count,
-            "{kind:?}"
-        );
-        assert_eq!(sr.mapping(), &mono.final_mapping, "{kind:?}");
-        (got, mono)
+        if chunks.is_empty() {
+            sr.route_window(&[], true, &mut got);
+        }
+        (got, sr)
+    }
+
+    /// Asserts that windowed routing at several window sizes matches the
+    /// oracle gate for gate, count for count.
+    fn assert_matches_oracle(kind: &RouterKind, c: &Circuit, spec: DeviceSpec) {
+        let initial = InitialMapping::Identity.build(c, spec.n_ions());
+        let oracle = route_oracle(c, spec, &initial, kind);
+        for window in [1, 7, 64, c.len().max(1)] {
+            let (got, sr) = windowed(kind, c, spec, window);
+            assert_eq!(got, oracle.circuit.gates(), "{kind:?} window {window}");
+            assert_eq!(sr.swap_count, oracle.swap_count, "{kind:?}");
+            assert_eq!(
+                sr.opposing_swap_count, oracle.opposing_swap_count,
+                "{kind:?}"
+            );
+            assert_eq!(sr.mapping, oracle.final_mapping, "{kind:?}");
+            assert!(sr.carry.is_empty());
+        }
     }
 
     #[test]
@@ -321,8 +340,7 @@ mod tests {
             let spec = DeviceSpec::new(n, head).unwrap();
             let c = workload(n, len, seed);
             for kind in kinds() {
-                let (got, mono) = stream_route(&kind, &c, spec);
-                assert_eq!(got, mono.circuit.gates(), "{kind:?} n={n} head={head}");
+                assert_matches_oracle(&kind, &c, spec);
             }
         }
     }
@@ -343,26 +361,38 @@ mod tests {
             c.xx(Qubit(a), Qubit(b), 0.5);
         }
         let kind = RouterKind::Linq(LinqConfig::default());
+        assert_matches_oracle(&kind, &c, spec);
+
+        // Gate by gate, and in one long window that does not end the
+        // input, the skeleton never holds more than one prune chunk plus
+        // the look-ahead, and the carry no more than the look-ahead.
+        let bound = PRUNE_CHUNK + 2 * OPPOSING_HORIZON;
         let initial = InitialMapping::Identity.build(&c, n);
-        let mono = kind.route(&c, spec, &initial).unwrap();
-        let mut sr = StreamRouter::new(&kind, spec, initial).unwrap();
-        let mut got = Vec::new();
-        let mut peak_window = 0usize;
+        let mut sr = StreamRouter::new(&kind, spec, initial.clone()).unwrap();
         for g in &c {
-            sr.push(*g);
-            peak_window = peak_window.max(sr.window_len());
-            got.extend(sr.drain_routed());
+            sr.route_window(std::slice::from_ref(g), false, &mut Vec::new());
+            assert!(
+                sr.pending.len() <= bound,
+                "skeleton grew to {}",
+                sr.pending.len()
+            );
+            assert!(
+                sr.carry.len() <= OPPOSING_HORIZON + 1,
+                "carry grew to {}",
+                sr.carry.len()
+            );
         }
-        sr.finish_input();
-        got.extend(sr.drain_routed());
-        assert_eq!(got, mono.circuit.gates());
-        assert_eq!(sr.swap_count(), mono.swap_count);
-        assert_eq!(sr.mapping(), &mono.final_mapping);
-        // The pending window never holds more than one prune chunk plus
-        // the ingest-ahead margin.
+        let mut sr = StreamRouter::new(&kind, spec, initial).unwrap();
+        sr.route_window(c.gates(), false, &mut Vec::new());
         assert!(
-            peak_window <= PRUNE_CHUNK + 2 * OPPOSING_HORIZON,
-            "window grew to {peak_window}"
+            sr.pending.len() <= bound,
+            "skeleton grew to {}",
+            sr.pending.len()
+        );
+        assert!(
+            sr.carry.len() <= OPPOSING_HORIZON + 1,
+            "carry grew to {}",
+            sr.carry.len()
         );
     }
 
@@ -376,8 +406,15 @@ mod tests {
         c.measure(Qubit(0)).reset_qubit(Qubit(0));
         c.xx(Qubit(0), Qubit(1), 0.25);
         for kind in kinds() {
-            let (got, mono) = stream_route(&kind, &c, spec);
-            assert_eq!(got, mono.circuit.gates(), "{kind:?}");
+            assert_matches_oracle(&kind, &c, spec);
         }
+    }
+
+    #[test]
+    fn empty_input_routes_to_nothing() {
+        let spec = DeviceSpec::new(8, 4).unwrap();
+        let (got, sr) = windowed(&RouterKind::default(), &Circuit::new(8), spec, 64);
+        assert!(got.is_empty());
+        assert_eq!(sr.swap_count, 0);
     }
 }
